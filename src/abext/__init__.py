@@ -19,9 +19,7 @@ from .lr import lr_coefficient, lr_expand, lr_positive
 from .partitions import (Partition, componentwise_sum, conjugate, contains,
                          format_partition, make_partition, parse_partition,
                          size, union_merge)
-from .verify import (CLAIMS, VerificationReport, regression_expansions,
-                     verify_prop_ext_low, verify_prop_product_types,
-                     verify_thm_main, verify_thm_second)
+from .verify import CLAIMS, VerificationReport, regression_expansions
 
 __version__ = "0.1.0"
 
@@ -35,6 +33,5 @@ __all__ = [
     "is_extension", "lr_coefficient", "lr_expand", "lr_positive",
     "make_partition", "matches", "parse_group", "parse_partition",
     "regression_expansions", "set_extension", "set_product", "size",
-    "union_merge", "verify_prop_ext_low", "verify_prop_product_types",
-    "verify_thm_main", "verify_thm_second",
+    "union_merge",
 ]

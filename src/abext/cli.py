@@ -10,6 +10,7 @@ Exit codes:
   2   the claim passed vacuously (window too small for its witnesses)
   3   resource limit exceeded
   64  usage, parse or lookup error
+  70  internal error (an exception nothing else handles)
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .extensions import (DEFAULT_ORACLE_BOUND, ResourceLimitError,
@@ -43,18 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
-@dataclass
-class CliConfig:
-    """Resolved global options for one invocation."""
-
-    output_format: str = "text"
-    out: str | None = None
-    jobs: int = 0
-    seed: int | None = None
-    order_bound: int = DEFAULT_BOUND
-    oracle_bound: int = DEFAULT_ORACLE_BOUND
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -71,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1,
                         help="worker pool size hint; results are identical "
                              "for any value")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized sweeps (reserved; all "
-                             "built-in commands are deterministic)")
 
     parser = _Parser(prog="abext",
                      description="Abelian group extensions via Young-diagram "
@@ -127,43 +112,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+def _emit(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
-def _group_lines(groups, cfg: CliConfig) -> str:
-    if cfg.output_format == "json":
+def _group_lines(groups, args) -> str:
+    if args.format == "json":
         return json.dumps([str(g) for g in groups])
     return "\n".join(str(g) for g in groups) if len(groups) else "(empty)"
 
 
-def _cmd_lr_expand(args, cfg: CliConfig) -> int:
+def _cmd_lr_expand(args) -> int:
     lam = parse_partition(args.lam)
     nu = parse_partition(args.nu)
     expansion = sorted(lr_expand(lam, nu).items(),
                        key=lambda item: sort_key(item[0]))
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = [{"partition": list(mu), "multiplicity": c}
                    for mu, c in expansion]
-        _emit(json.dumps(payload), cfg)
+        _emit(json.dumps(payload), args)
     else:
         _emit("\n".join(f"{format_partition(mu)} {c}" for mu, c in expansion),
-              cfg)
+              args)
     return 0
 
 
-def _cmd_lr_coeff(args, cfg: CliConfig) -> int:
+def _cmd_lr_coeff(args) -> int:
     c = lr_coefficient(parse_partition(args.lam), parse_partition(args.nu),
                        parse_partition(args.mu))
-    _emit(json.dumps(c) if cfg.output_format == "json" else str(c), cfg)
+    _emit(json.dumps(c) if args.format == "json" else str(c), args)
     return 0
 
 
-def _cmd_ext(args, cfg: CliConfig) -> int:
+def _cmd_ext(args) -> int:
     groups = [AbelianGroup.parse(text) for text in args.groups]
     if args.check:
         if len(groups) != 3:
@@ -171,38 +156,38 @@ def _cmd_ext(args, cfg: CliConfig) -> int:
         g, h, k = groups
         criterion = is_extension(g, h, k)
         try:
-            oracle = brute_force_is_extension(g, h, k, cfg.oracle_bound)
+            oracle = brute_force_is_extension(g, h, k, args.oracle_bound)
         except ResourceLimitError:
             oracle = None
-        if cfg.output_format == "json":
-            _emit(json.dumps({"criterion": criterion, "oracle": oracle}), cfg)
+        if args.format == "json":
+            _emit(json.dumps({"criterion": criterion, "oracle": oracle}), args)
         else:
             oracle_text = "skipped" if oracle is None else str(oracle).lower()
             _emit(f"criterion: {str(criterion).lower()}\noracle: {oracle_text}",
-                  cfg)
+                  args)
         return 0
     if len(groups) != 2:
         raise _UsageError("ext expects two groups: H K")
-    _emit(_group_lines(extension_set(*groups), cfg), cfg)
+    _emit(_group_lines(extension_set(*groups), args), args)
     return 0
 
 
-def _cmd_member(args, cfg: CliConfig) -> int:
+def _cmd_member(args) -> int:
     group = AbelianGroup.parse(args.group)
     verdict = family_contains(group, get_family(args.family))
-    _emit(json.dumps(verdict) if cfg.output_format == "json"
-          else str(verdict).lower(), cfg)
+    _emit(json.dumps(verdict) if args.format == "json"
+          else str(verdict).lower(), args)
     return 0
 
 
-def _cmd_enumerate(args, cfg: CliConfig) -> int:
+def _cmd_enumerate(args) -> int:
     members = enumerate_family(get_family(args.family), args.bound)
-    _emit(_group_lines(members, cfg), cfg)
+    _emit(_group_lines(members, args), args)
     return 0
 
 
-def _cmd_tables(args, cfg: CliConfig) -> int:
-    if cfg.output_format == "json":
+def _cmd_tables(args) -> int:
+    if args.format == "json":
         payload = []
         for number, family, letters in TABLES:
             rows = []
@@ -212,7 +197,7 @@ def _cmd_tables(args, cfg: CliConfig) -> int:
                              "constraints": list(constraints)})
             payload.append({"table": number, "family": family.name,
                             "rows": rows})
-        _emit(json.dumps(payload, indent=2), cfg)
+        _emit(json.dumps(payload, indent=2), args)
         return 0
     blocks = []
     for number, family, letters in TABLES:
@@ -222,14 +207,14 @@ def _cmd_tables(args, cfg: CliConfig) -> int:
             suffix = f"  [{', '.join(constraints)}]" if constraints else ""
             lines.append(f"({i}) {text}{suffix}")
         blocks.append("\n".join(lines))
-    _emit("\n\n".join(blocks), cfg)
+    _emit("\n\n".join(blocks), args)
     return 0
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     report = CLAIMS[args.claim](args.bound)
-    if cfg.output_format == "json":
-        _emit(json.dumps(report.to_json_obj()), cfg)
+    if args.format == "json":
+        _emit(json.dumps(report.to_json_obj()), args)
     else:
         witnesses = ", ".join(str(g) for g in report.witnesses) or "none"
         _emit("\n".join([
@@ -239,7 +224,7 @@ def _cmd_verify(args, cfg: CliConfig) -> int:
             f"witnesses: {witnesses}",
             f"verdict: {report.verdict}",
             f"vacuous: {str(report.vacuous).lower()}",
-        ]), cfg)
+        ]), args)
     for line in report.details:
         print(line, file=sys.stderr)
     return report.exit_code
@@ -270,16 +255,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as err:
         return _usage_exit(err)
-    cfg = CliConfig(
-        output_format=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        jobs=getattr(args, "jobs", 1),
-        seed=getattr(args, "seed", None),
-        order_bound=getattr(args, "bound", DEFAULT_BOUND),
-        oracle_bound=getattr(args, "oracle_bound", DEFAULT_ORACLE_BOUND),
-    )
     try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args)
     except _UsageError as err:
         return _usage_exit(err)
     except (ValueError, KeyError) as err:
@@ -289,6 +266,11 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as err:
         print(f"abext: resource limit: {err}", file=sys.stderr)
         return 3
+    except Exception as err:
+        # exit 1 means "claim failed", so a crash needs a code of its own
+        print(f"abext: internal error: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 70
 
 
 def entrypoint() -> None:

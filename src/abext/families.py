@@ -16,8 +16,8 @@ optional slots, which decides exactly the existence of an assignment.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
-pattern per table row; the composed products (A2xA2, A1xA3p, B2xB2,
-B1xB3p) are derived from them at import time.
+pattern per table row; the products A2xA2, A1xA3p and B1xB3p are derived
+from them at import time, and B2xB2 is A2xA2 itself (B2 = A2).
 """
 
 from __future__ import annotations
@@ -308,11 +308,12 @@ PB4P = Family("PB4p", _TABLE6)
 
 A2xA2 = family_product(A2, A2, "A2xA2")
 A1xA3P = family_product(A1, A3P, "A1xA3p")
-B2xB2 = family_product(A2, A2, "B2xB2")
+B2xB2 = A2xA2
 B1xB3P = family_product(A1, B3P, "B1xB3p")
 
 BUILTIN_FAMILIES = {f.name: f for f in (
-    A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B2xB2, B1xB3P)}
+    A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B1xB3P)}
+BUILTIN_FAMILIES["B2xB2"] = B2xB2
 
 # (number, family, parameter letter pool) in table order
 TABLES = (

@@ -1,9 +1,19 @@
 """Bounded verification of the classification claims.
 
-Each claim sweeps pairs of family members inside an order window, computes
-extension sets or direct products, and tests every result against pattern
-matchers.  Membership tests never use truncated enumerations, so a pass
-verifies the claim restricted to pairs within the window.
+The four sweep claims are rows of one table, CLAIM_TABLE, and run_claim
+runs any row.  A Claim holds its id, its sweeps and its expected
+witnesses.  A Sweep pairs every member of a left family with every member
+of a right family inside the order window and tests each result against a
+target family.  There are three step kinds:
+
+  extension  every extension of the pair lies in the target;
+  product    the direct product of the pair lies in the target;
+  closure    every extension of the pair is an extension of two target
+             members.  Pairs inside target x target are counted but not
+             swept, since they realize all their extensions there.
+
+Membership tests never use truncated enumerations, so a pass verifies the
+claim restricted to pairs within the window.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -24,7 +34,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import isqrt
 
 from .extensions import GroupSet, extension_set, is_extension
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
@@ -67,34 +78,6 @@ class VerificationReport:
         }
 
 
-def extension_closure_witnesses(hs, ks, family: Family, witnesses: dict) -> int:
-    """Sweep extension sets over hs x ks; collect non-members of family.
-
-    Returns the number of pairs examined.  witnesses maps each offending
-    group to the set of producing pairs.
-    """
-    count = 0
-    for h in hs:
-        for k in ks:
-            count += 1
-            for g in extension_set(h, k):
-                if not family_contains(g, family):
-                    witnesses.setdefault(g, set()).add((h, k))
-    return count
-
-
-def product_closure_witnesses(hs, ks, family: Family, witnesses: dict) -> int:
-    """Like extension_closure_witnesses for direct products."""
-    count = 0
-    for h in hs:
-        for k in ks:
-            count += 1
-            g = h.direct_product(k)
-            if not family_contains(g, family):
-                witnesses.setdefault(g, set()).add((h, k))
-    return count
-
-
 def _finalize(claim_id, bound, checked, witnesses, expected, start,
               details=()) -> VerificationReport:
     # expected maps each anticipated witness to the smallest window bound
@@ -119,118 +102,117 @@ def _finalize(claim_id, bound, checked, witnesses, expected, start,
     )
 
 
-_A1xA1 = family_product(A1, A1, "A1xA1")
+@dataclass(frozen=True)
+class Sweep:
+    """Every pair of a left and a right family member inside the window;
+    each result of step ("extension", "product" or "closure") is tested
+    against the target family."""
 
-_Z45 = AbelianGroup.parse("Z/4^5")
-_Z36 = AbelianGroup.parse("Z/3^6")
-_Z44_Z22 = AbelianGroup.parse("Z/4^4 x Z/2^2")
+    step: str
+    left: Family
+    right: Family
+    target: Family
 
 
-def verify_prop_ext_low(bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Extensions over the two smallest families stay of product type:
-    every extension over A1 x A1 lies in the A1 x A1 product family, and
-    every extension over A1 x A2 lies in A3p."""
+@dataclass(frozen=True)
+class Claim:
+    """A bounded claim: its sweeps, and its expected witnesses, each mapped
+    to the smallest window bound whose sweep produces it."""
+
+    claim_id: str
+    sweeps: tuple[Sweep, ...]
+    expected: dict = field(default_factory=dict)
+
+
+def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
+    """Run every sweep of claim inside the window and judge the witnesses."""
     start = time.perf_counter()
-    a1 = enumerate_family(A1, bound)
-    a2 = enumerate_family(A2, bound)
+    members: dict = {}
     witnesses: dict = {}
-    checked = extension_closure_witnesses(a1, a1, _A1xA1, witnesses)
-    checked += extension_closure_witnesses(a1, a2, A3P, witnesses)
-    return _finalize("prop-ext-low", bound, checked, witnesses, {}, start)
-
-
-def verify_thm_main(bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Extensions over A2 x A2 and over A1 x A3p land in PA4p, except the
-    single group Z/4^5 (produced by the pair Z/4^2 x Z/2 with itself)."""
-    start = time.perf_counter()
-    a2 = enumerate_family(A2, bound)
-    a1 = enumerate_family(A1, bound)
-    a3p = enumerate_family(A3P, bound)
-    witnesses: dict = {}
-    checked = extension_closure_witnesses(a2, a2, PA4P, witnesses)
-    checked += extension_closure_witnesses(a1, a3p, PA4P, witnesses)
-    return _finalize("thm-main", bound, checked, witnesses, {_Z45: 32}, start)
-
-
-def verify_prop_product_types(bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Direct products over A2 x A2 leave the A1 x A3p product family only
-    at Z/3^6 and Z/4^4 x Z/2^2; furthermore A1 x A3p products lie in the
-    A2 x A2 product family and every extension over the A1 x A3p window is
-    an extension of A2 members (decided exactly; see _extends_two_a2)."""
-    start = time.perf_counter()
-    a2 = enumerate_family(A2, bound)
-    a1 = enumerate_family(A1, bound)
-    a3p = enumerate_family(A3P, bound)
-    witnesses: dict = {}
-    checked = product_closure_witnesses(a2, a2, A1xA3P, witnesses)
-    checked += product_closure_witnesses(a1, a3p, A2xA2, witnesses)
-    order_limit = bound * bound
-    for h in a1:
-        for k in a3p:
-            checked += 1
-            # pairs inside A2 x A2 realize all their extensions there
-            if family_contains(h, A2) and family_contains(k, A2):
-                continue
-            for g in extension_set(h, k):
-                if not _extends_two_a2(g, order_limit):
-                    witnesses.setdefault(g, set()).add((h, k))
-    expected = {_Z36: 27, _Z44_Z22: 32}
-    return _finalize("prop-product-types", bound, checked, witnesses,
-                     expected, start)
+    checked = 0
+    for sweep in claim.sweeps:
+        for family in (sweep.left, sweep.right):
+            if family not in members:
+                # a plain list: GroupSet iteration sorts on every pass
+                members[family] = list(enumerate_family(family, bound))
+        step, target = sweep.step, sweep.target
+        for h in members[sweep.left]:
+            for k in members[sweep.right]:
+                checked += 1
+                if step == "product":
+                    results = (h.direct_product(k),)
+                elif (step == "closure" and family_contains(h, target)
+                      and family_contains(k, target)):
+                    # extensions of two target members are in the closure
+                    continue
+                else:
+                    results = extension_set(h, k)
+                for g in results:
+                    if step == "closure":
+                        inside = _extends_two(g, target, bound * bound)
+                    else:
+                        inside = family_contains(g, target)
+                    if not inside:
+                        witnesses.setdefault(g, set()).add((h, k))
+    return _finalize(claim.claim_id, bound, checked, witnesses,
+                     claim.expected, start)
 
 
 @lru_cache(maxsize=None)
-def _a2_by_order(limit: int) -> dict:
+def _by_order(family: Family, limit: int) -> dict:
     buckets: dict[int, list[AbelianGroup]] = {}
-    for g in enumerate_family(A2, limit):
+    for g in enumerate_family(family, limit):
         buckets.setdefault(g.order(), []).append(g)
     return buckets
 
 
 @lru_cache(maxsize=None)
-def _extends_two_a2(g: AbelianGroup, order_limit: int) -> bool:
-    """Exact membership of g in the extension closure of A2 with itself.
+def _extends_two(g: AbelianGroup, family: Family, order_limit: int) -> bool:
+    """Exact membership of g in the extension closure of family with itself.
 
-    The factor orders multiply to the order of g, so searching every A2
-    member of each complementary divisor pair is exhaustive; no window
-    truncation is involved.
+    The factor orders multiply to the order of g, so searching every member
+    of each complementary divisor pair is exhaustive once order_limit
+    reaches the order of g; no window truncation is involved.
     """
-    buckets = _a2_by_order(order_limit)
+    buckets = _by_order(family, order_limit)
     n = g.order()
-    for d in _divisors(n):
-        if d * d > n:
-            break
-        for h in buckets.get(d, ()):
-            for k in buckets.get(n // d, ()):
-                if is_extension(g, h, k):
-                    return True
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            for h in buckets.get(d, ()):
+                for k in buckets.get(n // d, ()):
+                    if is_extension(g, h, k):
+                        return True
     return False
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            large.append(n // d)
-        d += 1
-    if small and small[-1] == large[-1]:
-        large.pop()
-    return small + large[::-1]
+_A1xA1 = family_product(A1, A1, "A1xA1")
 
-
-def verify_thm_second(bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Extensions over B1 x B3p and over B2 x B2 all land in PB4p
-    (B1 = A1 and B2 = A2)."""
-    start = time.perf_counter()
-    a1 = enumerate_family(A1, bound)
-    a2 = enumerate_family(A2, bound)
-    b3p = enumerate_family(B3P, bound)
-    witnesses: dict = {}
-    checked = extension_closure_witnesses(a1, b3p, PB4P, witnesses)
-    checked += extension_closure_witnesses(a2, a2, PB4P, witnesses)
-    return _finalize("thm-second", bound, checked, witnesses, {}, start)
+CLAIM_TABLE = (
+    # extensions over the two smallest families stay of product type
+    Claim("prop-ext-low", (
+        Sweep("extension", A1, A1, _A1xA1),
+        Sweep("extension", A1, A2, A3P))),
+    # extensions over A2 x A2 and A1 x A3p land in PA4p, except Z/4^5
+    # (produced by the pair Z/4^2 x Z/2 with itself)
+    Claim("thm-main", (
+        Sweep("extension", A2, A2, PA4P),
+        Sweep("extension", A1, A3P, PA4P)),
+        {AbelianGroup.parse("Z/4^5"): 32}),
+    # direct products over A2 x A2 leave the A1 x A3p product family only
+    # at Z/3^6 and Z/4^4 x Z/2^2; A1 x A3p products lie in the A2 x A2
+    # product family, and every extension over A1 x A3p is an extension of
+    # two A2 members
+    Claim("prop-product-types", (
+        Sweep("product", A2, A2, A1xA3P),
+        Sweep("product", A1, A3P, A2xA2),
+        Sweep("closure", A1, A3P, A2)),
+        {AbelianGroup.parse("Z/3^6"): 27,
+         AbelianGroup.parse("Z/4^4 x Z/2^2"): 32}),
+    # extensions over B1 x B3p and B2 x B2 land in PB4p (B1 = A1, B2 = A2)
+    Claim("thm-second", (
+        Sweep("extension", A1, B3P, PB4P),
+        Sweep("extension", A2, A2, PB4P))),
+)
 
 
 # --- reference expansion vectors ---------------------------------------
@@ -451,10 +433,5 @@ def _matches_template(mu, bounds, tail, env) -> bool:
     return all(mu[i] >= _eval_entry(b, env) for i, b in enumerate(bounds))
 
 
-CLAIMS = {
-    "prop-ext-low": verify_prop_ext_low,
-    "thm-main": verify_thm_main,
-    "prop-product-types": verify_prop_product_types,
-    "thm-second": verify_thm_second,
-    "regressions": regression_expansions,
-}
+CLAIMS = {claim.claim_id: partial(run_claim, claim) for claim in CLAIM_TABLE}
+CLAIMS["regressions"] = regression_expansions

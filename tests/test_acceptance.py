@@ -20,7 +20,7 @@ from abext.families import (A1, A2, A3P, B3P, PA4P, PB4P, family_contains,
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import lr_expand
 from abext.partitions import componentwise_sum, size, union_merge
-from abext.verify import verify_thm_main
+from abext.verify import CLAIMS
 
 from oracles import partitions_upto, random_group, syt_count
 
@@ -67,7 +67,7 @@ def test_criterion_3_main_classification_at_64(tmp_path):
     assert code == 0
     assert obj["verdict"] == "pass" and not obj["vacuous"]
     assert obj["witnesses"] == ["Z/4^5"]
-    report = verify_thm_main(64)
+    report = CLAIMS["thm-main"](64)
     pair = (parse_group("Z/4^2 x Z/2"), parse_group("Z/4^2 x Z/2"))
     assert report.witness_sources[parse_group("Z/4^5")] == (pair,)
     _report("3 (main classification, bound 64)", elapsed, 60.0)

@@ -93,6 +93,18 @@ def test_usage_error_exit_code(capsys):
     assert "usage:" in capsys.readouterr().err
     assert run(["verify", "no-such-claim"]) == 64
     assert run(["enumerate", "--family", "A1", "--bound", "0"]) == 64
+    assert run(["ext", "Z/2", "Z/2", "--seed", "1"]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "Z/2^3000", "Z/2"],
+    ["lr-coeff", "[1500]", "[1500]", "[1500,1500]"],
+])
+def test_internal_error_exit_code(capsys, argv):
+    assert run(argv) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("abext: internal error: ")
+    assert "Traceback" not in err
 
 
 def test_enumerate(capsys):

@@ -55,6 +55,7 @@ def test_family_contains_examples():
 
 def test_get_family():
     assert get_family("A1") is A1
+    assert get_family("B2xB2") is get_family("A2xA2")
     assert set(BUILTIN_FAMILIES) == {"A1", "A2", "A3p", "B3p", "PA4p", "PB4p",
                                      "A2xA2", "A1xA3p", "B2xB2", "B1xB3p"}
     with pytest.raises(KeyError):

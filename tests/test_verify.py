@@ -1,18 +1,18 @@
 import time
 
+import pytest
+
 from abext.extensions import extension_set
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
                             enumerate_family, family_contains)
 from abext.groups import parse_group
-from abext.verify import (_finalize,
-                          extension_closure_witnesses, regression_expansions,
-                          verify_prop_ext_low, verify_prop_product_types,
-                          verify_thm_main, verify_thm_second)
+from abext.verify import (CLAIMS, Claim, Sweep, _finalize,
+                          regression_expansions, run_claim)
 
 
 def test_prop_ext_low_passes():
     for bound in (4, 16):
-        report = verify_prop_ext_low(bound)
+        report = CLAIMS["prop-ext-low"](bound)
         assert report.verdict == "pass"
         assert not report.vacuous
         assert len(report.witnesses) == 0
@@ -20,7 +20,7 @@ def test_prop_ext_low_passes():
 
 
 def test_thm_main_small_window_is_vacuous():
-    report = verify_thm_main(16)
+    report = CLAIMS["thm-main"](16)
     assert report.verdict == "pass"
     assert report.vacuous
     assert len(report.witnesses) == 0
@@ -28,7 +28,7 @@ def test_thm_main_small_window_is_vacuous():
 
 
 def test_thm_main_at_minimal_window():
-    report = verify_thm_main(32)
+    report = CLAIMS["thm-main"](32)
     assert report.verdict == "pass"
     assert not report.vacuous
     assert [str(g) for g in report.witnesses] == ["Z/4^5"]
@@ -38,15 +38,15 @@ def test_thm_main_at_minimal_window():
 
 
 def test_prop_product_types_windows():
-    report = verify_prop_product_types(16)
+    report = CLAIMS["prop-product-types"](16)
     assert report.verdict == "pass" and report.vacuous
-    report = verify_prop_product_types(32)
+    report = CLAIMS["prop-product-types"](32)
     assert report.verdict == "pass" and not report.vacuous
     assert {str(g) for g in report.witnesses} == {"Z/3^6", "Z/4^4 x Z/2^2"}
 
 
 def test_thm_second_small_window():
-    report = verify_thm_second(16)
+    report = CLAIMS["thm-second"](16)
     assert report.verdict == "pass"
     assert len(report.witnesses) == 0
 
@@ -55,12 +55,38 @@ def test_corrupted_table_is_detected():
     # drop the Z/2k x Z/4^2 x Z/2 row; extensions reaching it must surface
     corrupted = Family("A3p-broken",
                        A3P.patterns[:1] + A3P.patterns[2:])
-    witnesses: dict = {}
-    extension_closure_witnesses(enumerate_family(A1, 32),
-                                enumerate_family(A2, 32),
-                                corrupted, witnesses)
-    assert witnesses, "corruption went unnoticed"
-    assert parse_group("Z/8 x Z/4^2 x Z/2") in witnesses
+    claim = Claim("corrupted", (Sweep("extension", A1, A2, corrupted),))
+    report = run_claim(claim, 32)
+    assert report.verdict == "fail", "corruption went unnoticed"
+    assert parse_group("Z/8 x Z/4^2 x Z/2") in report.witnesses
+
+
+_SQUARE_PAIR = ("Z/4^2 x Z/2", "Z/4^2 x Z/2")
+_PINNED_SOURCES = {
+    "prop-ext-low": {},
+    "thm-main": {"Z/4^5": (_SQUARE_PAIR,)},
+    "prop-product-types": {"Z/3^6": (("Z/3^3", "Z/3^3"),),
+                           "Z/4^4 x Z/2^2": (_SQUARE_PAIR,)},
+    "thm-second": {},
+}
+
+
+@pytest.mark.parametrize("claim_id, bound, checked", [
+    ("prop-ext-low", 32, 2838), ("prop-ext-low", 64, 11180),
+    ("thm-main", 32, 4624), ("thm-main", 64, 19054),
+    ("prop-product-types", 32, 6439), ("prop-product-types", 64, 26659),
+    ("thm-second", 32, 4624), ("thm-second", 64, 19054),
+])
+def test_claim_reports_are_pinned(claim_id, bound, checked):
+    report = CLAIMS[claim_id](bound)
+    sources = _PINNED_SOURCES[claim_id]
+    assert report.to_json_obj() == {
+        "claim_id": claim_id, "bound": bound, "checked_pairs": checked,
+        "witnesses": list(sources), "verdict": "pass", "vacuous": False}
+    assert report.witness_sources == {
+        parse_group(g): tuple((parse_group(h), parse_group(k))
+                              for h, k in pairs)
+        for g, pairs in sources.items()}
 
 
 def test_missing_expected_witness_fails_when_window_suffices():
@@ -130,14 +156,14 @@ def test_sporadic_rows_stay_in_product_type():
 
 
 def test_reports_are_deterministic():
-    first = verify_thm_main(32)
-    second = verify_thm_main(32)
+    first = CLAIMS["thm-main"](32)
+    second = CLAIMS["thm-main"](32)
     assert first.to_json_obj() == second.to_json_obj()
     assert first.witness_sources == second.witness_sources
 
 
 def test_report_json_schema():
-    report = verify_thm_main(32)
+    report = CLAIMS["thm-main"](32)
     obj = report.to_json_obj()
     assert set(obj) == {"claim_id", "bound", "checked_pairs", "witnesses",
                         "verdict", "vacuous"}
@@ -147,7 +173,7 @@ def test_report_json_schema():
 
 
 def test_witnesses_are_recheckable():
-    report = verify_thm_main(32)
+    report = CLAIMS["thm-main"](32)
     for g in report.witnesses:
         assert not family_contains(g, PA4P)
         for h, k in report.witness_sources[g]:
