@@ -22,15 +22,12 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator
 
+from .errors import ResourceLimitError
 from .groups import AbelianGroup
 from .lr import lr_expand, lr_positive
 from .partitions import Partition, conjugate
 
 DEFAULT_ORACLE_BOUND = 1024
-
-
-class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured bound."""
 
 
 class GroupSet:
@@ -43,6 +40,11 @@ class GroupSet:
 
     def __iter__(self) -> Iterator[AbelianGroup]:
         return iter(sorted(self._members, key=AbelianGroup.sort_key))
+
+    @property
+    def members(self) -> frozenset[AbelianGroup]:
+        """The groups, unordered; iterating this skips the sort."""
+        return self._members
 
     def __len__(self) -> int:
         return len(self._members)
@@ -100,7 +102,7 @@ def set_product(a: GroupSet, b: GroupSet) -> GroupSet:
     """Pairwise direct products of two nonempty group sets."""
     if not a or not b:
         raise ValueError("set_product requires nonempty sets")
-    return GroupSet(h.direct_product(k) for h in a for k in b)
+    return GroupSet(h.direct_product(k) for h in a.members for k in b.members)
 
 
 def set_extension(a: GroupSet, b: GroupSet) -> GroupSet:
@@ -108,9 +110,9 @@ def set_extension(a: GroupSet, b: GroupSet) -> GroupSet:
     if not a or not b:
         raise ValueError("set_extension requires nonempty sets")
     out: frozenset[AbelianGroup] = frozenset()
-    for h in a:
-        for k in b:
-            out |= extension_set(h, k)._members
+    for h in a.members:
+        for k in b.members:
+            out |= extension_set(h, k).members
     return GroupSet(out)
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .extensions import GroupSet, ResourceLimitError
+from .errors import ResourceLimitError
+from .extensions import GroupSet
 from .groups import AbelianGroup, factorize
 
 _KINDS = ("free", "even", "triple", "fixed")
@@ -60,18 +61,47 @@ def fixed(modulus: int) -> Slot:
 
 @dataclass(frozen=True)
 class FamilyPattern:
-    """A product of slots; one row of a family table."""
+    """A product of slots; one row of a family table.
+
+    Equality is by value.  The hash is computed once, at construction:
+    patterns key the matches cache, and a generated dataclass hash would
+    rehash every slot on each lookup.
+    """
 
     slots: tuple[Slot, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.slots,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return FamilyPattern, (self.slots,)
 
 
 @dataclass(frozen=True)
 class Family:
-    """A named union of patterns and finitely many exceptional groups."""
+    """A named union of patterns and finitely many exceptional groups.
+
+    Equality is by value; the hash is cached as in FamilyPattern, since
+    families key the family_contains cache.
+    """
 
     name: str
     patterns: tuple[FamilyPattern, ...]
     exceptional: GroupSet = field(default_factory=GroupSet)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.patterns, self.exceptional)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Family, (self.name, self.patterns, self.exceptional)
 
 
 @lru_cache(maxsize=None)

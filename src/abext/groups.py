@@ -15,6 +15,10 @@ factors into coprime products of equal multiplicity, largest order first
 (invariant-factor style), so {2: (1, 1), 3: (1, 1, 1, 1)} prints as
 'Z/6^2 x Z/3^2' and parse(format(G)) always returns G.  Orders use Python
 integers, so they never overflow.
+
+Factoring divides by trial up to TRIAL_DIVISION_LIMIT and accepts a
+larger leftover cofactor only when is_prime proves it prime; otherwise it
+raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import re
 from math import prod
 from typing import Iterable, Mapping
 
+from .errors import ResourceLimitError
 from .partitions import Partition, make_partition, union_merge
 
 
@@ -34,13 +39,27 @@ _FACTOR_RE = re.compile(r"(?:Z/(\d+)|C(\d+))(?:\^(\d+))?")
 _SEPARATOR_RE = re.compile(r"[x*×]")
 
 
+# Largest trial divisor factorize tries.
+TRIAL_DIVISION_LIMIT = 10 ** 6
+_TRIAL_SQUARE = TRIAL_DIVISION_LIMIT ** 2
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: trial division below TRIAL_DIVISION_LIMIT squared,
+    deterministic Miller-Rabin above it.  Raises ResourceLimitError from
+    MILLER_RABIN_BOUND on, where the fixed bases no longer decide."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    if n >= _TRIAL_SQUARE:
+        return _miller_rabin(n)
     f = 3
     while f * f <= n:
         if n % f == 0:
@@ -49,8 +68,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _miller_rabin(n: int) -> bool:
+    if n >= MILLER_RABIN_BOUND:
+        raise ResourceLimitError(
+            f"cannot decide whether {n} is prime: it is not below "
+            f"{MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1.
+
+    Trial division stops at TRIAL_DIVISION_LIMIT.  A cofactor left beyond
+    it must be prime by is_prime; a composite one, or one too large for
+    is_prime to decide, raises ResourceLimitError.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -59,12 +105,17 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f * f <= n and f <= TRIAL_DIVISION_LIMIT:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += 2
     if n > 1:
+        # f * f <= n: the loop stopped at the limit, not at the square root
+        if f * f <= n and not is_prime(n):
+            raise ResourceLimitError(
+                f"cannot factor {n}: it is composite with no prime factor "
+                f"up to {TRIAL_DIVISION_LIMIT}")
         out[n] = out.get(n, 0) + 1
     return out
 

@@ -13,13 +13,24 @@ A product lam . nu is expanded by iterating candidate shapes mu of size
 nu[0] columns) that contain lam, keeping those with positive coefficient.
 Coefficients and expansions are memoized; arguments must be canonical
 partitions.
+
+Both searches recurse, one Python frame per row of a candidate shape and
+one per cell of a filling.  Inputs that would need more than MAX_DEPTH
+frames raise ResourceLimitError instead of overflowing the interpreter's
+stack.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import ResourceLimitError
 from .partitions import Partition, contains, size, sort_key
+
+# Deepest recursion the searches may start: below the interpreter's default
+# recursion limit of 1000, with room for the frames of the caller (the CLI,
+# a test runner or a tracer).
+MAX_DEPTH = 900
 
 
 def lr_coefficient(lam: Partition, nu: Partition, mu: Partition) -> int:
@@ -54,6 +65,9 @@ def _candidates(lam, nu):
     total = size(lam) + size(nu)
     max_len = len(lam) + len(nu)
     top = (lam[0] if lam else 0) + (nu[0] if nu else 0)
+    if max_len > MAX_DEPTH:
+        raise ResourceLimitError(
+            f"shapes of {max_len} rows exceed the LR depth limit {MAX_DEPTH}")
     out = []
     prefix = []
 
@@ -91,6 +105,10 @@ def _count_fillings(lam, nu, mu, first_only):
              for c in range(mu[r] - 1, lam_pad[r] - 1, -1)]
     if not cells:
         return 1
+    if len(cells) > MAX_DEPTH:
+        raise ResourceLimitError(
+            f"fillings of {len(cells)} cells exceed the LR depth limit "
+            f"{MAX_DEPTH}")
 
     k = len(nu)
     counts = [0] * (k + 1)

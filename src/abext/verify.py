@@ -35,7 +35,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from math import isqrt
 
 from .extensions import GroupSet, extension_set, is_extension
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
@@ -88,7 +87,8 @@ def _finalize(claim_id, bound, checked, witnesses, expected, start,
     fail = (bool(unexpected) or bool(details)
             or any(expected[g] <= bound for g in missing))
     vacuous = not fail and (bool(missing) or checked == 0)
-    sources = {g: tuple(sorted(pairs)) for g, pairs in witnesses.items()}
+    # keyed in witness order, since sweeps visit extensions unordered
+    sources = {g: tuple(sorted(witnesses[g])) for g in found}
     return VerificationReport(
         claim_id=claim_id,
         bound=bound,
@@ -146,10 +146,11 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
                     # extensions of two target members are in the closure
                     continue
                 else:
-                    results = extension_set(h, k)
+                    # unordered: only the final witness list needs sorting
+                    results = extension_set(h, k).members
                 for g in results:
                     if step == "closure":
-                        inside = _extends_two(g, target, bound * bound)
+                        inside = _extends_two(g, target)
                     else:
                         inside = family_contains(g, target)
                     if not inside:
@@ -159,30 +160,57 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _by_order(family: Family, limit: int) -> dict:
-    buckets: dict[int, list[AbelianGroup]] = {}
-    for g in enumerate_family(family, limit):
-        buckets.setdefault(g.order(), []).append(g)
-    return buckets
-
-
-@lru_cache(maxsize=None)
-def _extends_two(g: AbelianGroup, family: Family, order_limit: int) -> bool:
+def _extends_two(g: AbelianGroup, family: Family) -> bool:
     """Exact membership of g in the extension closure of family with itself.
 
-    The factor orders multiply to the order of g, so searching every member
-    of each complementary divisor pair is exhaustive once order_limit
-    reaches the order of g; no window truncation is involved.
+    If g is an extension of k by h, then at each prime p the types h_p and
+    k_p are sub-diagrams of g_p, since a positive Littlewood-Richardson
+    coefficient needs both inside mu; and h and k have no prime outside g,
+    since |h||k| = |g|.  So the family members whose p-types are
+    sub-diagrams of the p-types of g, paired by complementary order, are
+    every candidate pair: the search is exhaustive, with no window
+    truncation, and never looks at groups that g cannot contain.
     """
-    buckets = _by_order(family, order_limit)
+    primes = g.primes
+    by_order: dict[int, list[AbelianGroup]] = {}
+    for types in itertools.product(*(_subdiagrams(g.p_part(p))
+                                     for p in primes)):
+        h = _member(primes, types, family)
+        if h is not None:
+            by_order.setdefault(h.order(), []).append(h)
     n = g.order()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            for h in buckets.get(d, ()):
-                for k in buckets.get(n // d, ()):
+    for d, halves in by_order.items():
+        if d * d <= n:
+            for h in halves:
+                for k in by_order.get(n // d, ()):
                     if is_extension(g, h, k):
                         return True
     return False
+
+
+@lru_cache(maxsize=None)
+def _member(primes: tuple[int, ...], types: tuple[Partition, ...],
+            family: Family) -> AbelianGroup | None:
+    """The group with the given p-types when it lies in family, else None.
+
+    Nearby g share most of their sub-diagram groups, so each is built and
+    tested once.
+    """
+    h = AbelianGroup(dict(zip(primes, types)))
+    return h if family_contains(h, family) else None
+
+
+@lru_cache(maxsize=None)
+def _subdiagrams(outer: Partition) -> tuple[Partition, ...]:
+    """Every partition whose Young diagram lies inside outer, () included."""
+    out: list[Partition] = []
+    level: list[Partition] = [()]
+    for cap in outer:
+        out.extend(level)
+        level = [sub + (x,) for sub in level
+                 for x in range(1, min(cap, sub[-1] if sub else cap) + 1)]
+    out.extend(level)
+    return tuple(out)
 
 
 _A1xA1 = family_product(A1, A1, "A1xA1")

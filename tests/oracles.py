@@ -4,16 +4,20 @@ Everything here recomputes results through a different route than the
 package: coefficients by filtering full multiset permutations, tableau
 counts by the hook length formula, row products by direct horizontal-strip
 enumeration, and pattern membership by searching cyclic factorizations of
-the order.
+the order.  The extension closure of a family is searched, as the
+package once did, through a window of family members paired by
+complementary order.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 from abext import AbelianGroup, make_partition
-from abext.families import FamilyPattern
+from abext.extensions import is_extension
+from abext.families import Family, FamilyPattern, enumerate_family
 
 
 def partitions_of(n, max_part=None):
@@ -133,6 +137,26 @@ def naive_matches(group: AbelianGroup, pattern: FamilyPattern) -> bool:
         return False
 
     return rec(0, group.order(), [])
+
+
+@lru_cache(maxsize=None)
+def _window_by_order(family: Family, order_limit: int) -> dict:
+    buckets: dict[int, list[AbelianGroup]] = {}
+    for g in enumerate_family(family, order_limit):
+        buckets.setdefault(g.order(), []).append(g)
+    return buckets
+
+
+def naive_extends_two(g: AbelianGroup, family: Family,
+                      order_limit: int) -> bool:
+    """Whether g is an extension of two family members, by trying every
+    pair of members up to order_limit whose orders multiply to |g|, in
+    both orders.  Exhaustive once order_limit reaches |g|."""
+    buckets = _window_by_order(family, order_limit)
+    n = g.order()
+    return any(is_extension(g, h, k)
+               for d in divisors(n) for h in buckets.get(d, ())
+               for k in buckets.get(n // d, ()))
 
 
 def all_abelian_groups_upto(bound):

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from abext import cli
 from abext.cli import run
 from abext.groups import parse_group
 
@@ -97,14 +99,43 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ext", "Z/2^3000", "Z/2"],
-    ["lr-coeff", "[1500]", "[1500]", "[1500,1500]"],
+    ["ext", "Z/2", "Z/2"],
+    ["lr-coeff", "[1]", "[1]", "[2]"],
 ])
-def test_internal_error_exit_code(capsys, argv):
+def test_internal_error_exit_code(capsys, monkeypatch, argv):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], crash)
     assert run(argv) == 70
     err = capsys.readouterr().err
-    assert err.startswith("abext: internal error: ")
+    assert err.startswith("abext: internal error: RecursionError: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ext", "Z/2^3000", "Z/2"], "LR depth limit"),
+    (["lr-coeff", "[1500]", "[1500]", "[1500,1500]"], "LR depth limit"),
+    # 2^89 - 1 is prime, but beyond the reach of the fixed Miller-Rabin bases
+    (["member", "Z/618970019642690137449562111", "--family", "A1"],
+     "cannot decide"),
+    # 1000003 * 1000033: both prime factors lie above the trial division cap
+    (["member", "Z/1000036000099", "--family", "A1"], "cannot factor"),
+])
+def test_resource_limit_exit_code(capsys, argv, message):
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("abext: resource limit: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_member_with_large_prime_factor(capsys):
+    start = time.perf_counter()
+    assert run(["member", "Z/2305843009213693951", "--family", "A1"]) == 0
+    assert time.perf_counter() - start < 2
+    assert get_output(capsys) == "true"
 
 
 def test_enumerate(capsys):

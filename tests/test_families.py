@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +64,39 @@ def test_get_family():
                                      "A2xA2", "A1xA3p", "B2xB2", "B1xB3p"}
     with pytest.raises(KeyError):
         get_family("A9")
+
+
+def test_family_hash_is_by_value():
+    rebuilt = Family("A2", tuple(FamilyPattern(tuple(pat.slots))
+                                 for pat in A2.patterns))
+    assert rebuilt is not A2 and rebuilt == A2 and hash(rebuilt) == hash(A2)
+    pattern = FamilyPattern((EVEN, fixed(2), fixed(2)))
+    twin = FamilyPattern((EVEN, fixed(2), fixed(2)))
+    assert pattern is not twin and pattern == twin
+    assert hash(pattern) == hash(twin)
+    for text in ("Z/3^3", "Z/4^2 x Z/2", "Z/10 x Z/2^2", "Z/2^5"):
+        g = parse_group(text)
+        assert family_contains(g, rebuilt) == family_contains(g, A2)
+        assert matches(g, pattern) == matches(g, twin)
+    assert family_product(A2, A2) == get_family("A2xA2")
+    assert hash(family_product(A2, A2)) == hash(get_family("A2xA2"))
+    # cached in the class body, which the per-layer tracer wraps
+    assert "__hash__" in Family.__dict__
+    assert "__hash__" in FamilyPattern.__dict__
+
+
+def test_cached_hash_survives_pickling_across_processes():
+    # string hashes are salted per process, so a cached hash must not
+    # travel inside a pickle
+    code = ("import pickle, sys; from abext.families import A2; "
+            "sys.stdout.buffer.write(pickle.dumps(A2))")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    payload = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True).stdout
+    loaded = pickle.loads(payload)
+    assert loaded == A2 and hash(loaded) == hash(A2)
+    assert hash(loaded.patterns[0]) == hash(A2.patterns[0])
 
 
 def test_family_product_low_rank():

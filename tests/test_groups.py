@@ -1,10 +1,13 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abext.groups import (AbelianGroup, GroupSyntaxError, TRIVIAL, factorize,
+from abext.errors import ResourceLimitError
+from abext.groups import (MILLER_RABIN_BOUND, TRIAL_DIVISION_LIMIT,
+                          AbelianGroup, GroupSyntaxError, TRIVIAL, factorize,
                           format_group, is_prime, parse_group)
 
 from oracles import random_group
@@ -96,6 +99,35 @@ def test_is_prime_and_factorize():
     assert factorize(1) == {}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_large_primes_by_miller_rabin():
+    mersenne61 = 2 ** 61 - 1
+    assert is_prime(mersenne61)
+    assert not is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+    # a strong pseudoprime to the first twelve prime bases; base 41 exposes it
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ResourceLimitError):
+        is_prime(MILLER_RABIN_BOUND + 2)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    start = TRIAL_DIVISION_LIMIT ** 2 + 1
+    for n in range(start, start + 200, 2):
+        trial = all(n % f for f in range(3, isqrt(n) + 1, 2))
+        assert is_prime(n) == trial, n
+
+
+def test_factorize_beyond_trial_division_limit():
+    mersenne61 = 2 ** 61 - 1
+    assert factorize(mersenne61) == {mersenne61: 1}
+    assert factorize(12 * mersenne61) == {2: 2, 3: 1, mersenne61: 1}
+    assert factorize(999983 ** 2) == {999983: 2}
+    with pytest.raises(ResourceLimitError):
+        factorize(1000003 * 1000033)
+    with pytest.raises(ResourceLimitError):
+        factorize(2 ** 89 - 1)
 
 
 def test_parse_format_round_trip_random():

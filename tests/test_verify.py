@@ -6,8 +6,10 @@ from abext.extensions import extension_set
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
                             enumerate_family, family_contains)
 from abext.groups import parse_group
-from abext.verify import (CLAIMS, Claim, Sweep, _finalize,
-                          regression_expansions, run_claim)
+from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _extends_two,
+                          _finalize, regression_expansions, run_claim)
+
+from oracles import all_abelian_groups_upto, naive_extends_two
 
 
 def test_prop_ext_low_passes():
@@ -87,6 +89,35 @@ def test_claim_reports_are_pinned(claim_id, bound, checked):
         parse_group(g): tuple((parse_group(h), parse_group(k))
                               for h, k in pairs)
         for g, pairs in sources.items()}
+
+
+def test_closure_search_matches_window_search():
+    # every g that the closure sweep of prop-product-types reaches at 32
+    bound = 32
+    claim = next(c for c in CLAIM_TABLE if c.claim_id == "prop-product-types")
+    sweep = next(s for s in claim.sweeps if s.step == "closure")
+    reached = set()
+    for h in enumerate_family(sweep.left, bound):
+        for k in enumerate_family(sweep.right, bound):
+            if not (family_contains(h, sweep.target)
+                    and family_contains(k, sweep.target)):
+                reached |= extension_set(h, k).members
+    assert len(reached) > 100
+    for g in reached:
+        assert _extends_two(g, sweep.target) == naive_extends_two(
+            g, sweep.target, bound * bound), str(g)
+
+
+def test_closure_search_on_small_groups():
+    # A2 and A3p reach every group of order up to 256; A1 misses some
+    verdicts = {}
+    for g in all_abelian_groups_upto(256):
+        for family in (A1, A2, A3P):
+            verdict = _extends_two(g, family)
+            assert verdict == naive_extends_two(g, family, 256), \
+                (str(g), family.name)
+            verdicts.setdefault(family.name, set()).add(verdict)
+    assert verdicts == {"A1": {True, False}, "A2": {True}, "A3p": {True}}
 
 
 def test_missing_expected_witness_fails_when_window_suffices():
