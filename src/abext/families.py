@@ -9,10 +9,11 @@ Membership of a concrete group is decided per prime.  Each slot absorbs at
 most one part of each prime type (a cyclic group has at most one factor
 per prime): a fixed slot absorbs exactly its prime exposure, a Z/2k slot
 must absorb one part at p = 2 and may absorb one part at any other prime,
-Z/3k analogously at p = 3, and Z/k may absorb one part anywhere.  Since
-every constraint binds at a single prime with threshold one, feasibility
-reduces to removing the fixed demands and counting mandatory against
-optional slots, which decides exactly the existence of an assignment.
+Z/3k analogously at p = 3, and Z/k may absorb one part anywhere.  Every
+constraint binds at a single prime with threshold one, so a group matches
+exactly when, at each prime, the pattern's fixed exponents are among its
+parts and the rest of its parts satisfies mandatory <= rest <= params;
+a FamilyPattern compiles these per-prime demands at construction.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -33,6 +34,9 @@ from .groups import AbelianGroup, factorize
 
 _KINDS = ("free", "even", "triple", "fixed")
 
+# Most instantiations enumerate_family builds before it gives up.
+MAX_ENUMERATION = 1_000_000
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -49,6 +53,11 @@ class Slot:
         if self.kind != "fixed" and self.modulus:
             raise ValueError("only fixed slots carry a modulus")
 
+    @property
+    def scale(self) -> int | None:
+        """Order step of Z/k, Z/2k, Z/3k (1, 2, 3); None for a fixed slot."""
+        return {"free": 1, "even": 2, "triple": 3}.get(self.kind)
+
 
 FREE = Slot("free")
 EVEN = Slot("even")
@@ -63,29 +72,39 @@ def fixed(modulus: int) -> Slot:
 class FamilyPattern:
     """A product of slots; one row of a family table.
 
-    Equality is by value.  The hash is computed once, at construction:
-    patterns key the matches cache, and a generated dataclass hash would
-    rehash every slot on each lookup.
+    Equality, hash and repr are by slots.  Construction compiles the slots
+    into the per-prime demands that matches reads:
+    fixed      {p: Counter of the exponents the fixed slots take at p}
+    mandatory  {p: number of parameterized slots whose scale p divides}
+    params     number of parameterized slots
     """
 
     slots: tuple[Slot, ...]
+    fixed: dict[int, Counter] = field(init=False, repr=False, compare=False)
+    mandatory: dict[int, int] = field(init=False, repr=False, compare=False)
+    params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.slots,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
-        return FamilyPattern, (self.slots,)
+        fixed_exps: dict[int, Counter] = {}
+        mandatory: Counter = Counter()
+        params = 0
+        for slot in self.slots:
+            if slot.scale is None:
+                for p, e in factorize(slot.modulus).items():
+                    fixed_exps.setdefault(p, Counter())[e] += 1
+            else:
+                params += 1
+                mandatory.update(factorize(slot.scale).keys())
+        object.__setattr__(self, "fixed", fixed_exps)
+        object.__setattr__(self, "mandatory", mandatory)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
 class Family:
     """A named union of patterns and finitely many exceptional groups.
 
-    Equality is by value; the hash is cached as in FamilyPattern, since
+    Equality is by value; the hash is computed once, at construction, since
     families key the family_contains cache.
     """
 
@@ -101,39 +120,21 @@ class Family:
         return self._hash
 
     def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
         return Family, (self.name, self.patterns, self.exceptional)
 
 
-@lru_cache(maxsize=None)
 def matches(group: AbelianGroup, pat: FamilyPattern) -> bool:
     """True when some instantiation of the pattern is isomorphic to group."""
-    slots = pat.slots
-    n_free = sum(1 for s in slots if s.kind == "free")
-    n_even = sum(1 for s in slots if s.kind == "even")
-    n_triple = sum(1 for s in slots if s.kind == "triple")
-    fixed_slots = [s for s in slots if s.kind == "fixed"]
-
-    relevant = set(group.primes)
-    if n_even:
-        relevant.add(2)
-    if n_triple:
-        relevant.add(3)
-    for s in fixed_slots:
-        relevant.update(factorize(s.modulus))
-
-    for p in relevant:
-        avail = Counter(group.p_part(p))
-        for s in fixed_slots:
-            e = factorize(s.modulus).get(p, 0)
-            if e:
-                if avail[e] == 0:
-                    return False
-                avail[e] -= 1
-        mandatory = (n_even if p == 2 else 0) + (n_triple if p == 3 else 0)
-        optional = (n_free + (n_even if p != 2 else 0)
-                    + (n_triple if p != 3 else 0))
-        rest = sum(avail.values())
-        if rest < mandatory or rest > mandatory + optional:
+    for p in {*group.primes, *pat.fixed, *pat.mandatory}:
+        parts = group.p_part(p)
+        rest = len(parts)
+        taken = pat.fixed.get(p)
+        if taken:
+            if not taken <= Counter(parts):
+                return False
+            rest -= taken.total()
+        if not pat.mandatory.get(p, 0) <= rest <= pat.params:
             return False
     return True
 
@@ -176,16 +177,15 @@ def _slot_key(slot: Slot):
     return (_KINDS.index(slot.kind), slot.modulus)
 
 
-def enumerate_family(family: Family, order_bound: int,
-                     max_results: int = 1_000_000) -> GroupSet:
+def enumerate_family(family: Family, order_bound: int) -> GroupSet:
     """Every member with order at most order_bound.
 
-    Free parameters sweep all values keeping the instantiated order within
-    the bound.  Raises ResourceLimitError past max_results instantiations.
+    Free parameters sweep all values keeping the order within the bound.
+    Raises ResourceLimitError past MAX_ENUMERATION instantiations.
     """
     if order_bound < 1:
         raise ValueError("order bound must be >= 1")
-    budget = [max_results]
+    budget = [MAX_ENUMERATION]
     found: set[AbelianGroup] = set()
     for pat in family.patterns:
         _instantiate(pat.slots, order_bound, [], found, budget)
@@ -198,7 +198,9 @@ def enumerate_family(family: Family, order_bound: int,
 def _instantiate(slots, remaining, orders, found, budget):
     if not slots:
         if budget[0] <= 0:
-            raise ResourceLimitError("family enumeration exceeded max_results")
+            raise ResourceLimitError(
+                f"family enumeration exceeded the limit of {MAX_ENUMERATION} "
+                f"instantiations")
         budget[0] -= 1
         found.add(AbelianGroup.from_factors(orders))
         return
@@ -210,13 +212,9 @@ def _instantiate(slots, remaining, orders, found, budget):
 
 
 def _slot_orders(slot: Slot, limit: int) -> Iterable[int]:
-    if slot.kind == "free":
-        return range(1, limit + 1)
-    if slot.kind == "even":
-        return range(2, limit + 1, 2)
-    if slot.kind == "triple":
-        return range(3, limit + 1, 3)
-    return (slot.modulus,) if slot.modulus <= limit else ()
+    if slot.scale is None:
+        return (slot.modulus,) if slot.modulus <= limit else ()
+    return range(slot.scale, limit + 1, slot.scale)
 
 
 def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGroup:
@@ -224,14 +222,13 @@ def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGro
     values = list(values)
     orders = []
     for slot in pat.slots:
-        if slot.kind == "fixed":
+        if slot.scale is None:
             orders.append(slot.modulus)
             continue
         k = values.pop(0)
         if k < 1:
             raise ValueError("parameters must be >= 1")
-        scale = {"free": 1, "even": 2, "triple": 3}[slot.kind]
-        orders.append(scale * k)
+        orders.append(slot.scale * k)
     if values:
         raise ValueError("too many parameter values")
     return AbelianGroup.from_factors(orders)
@@ -251,7 +248,7 @@ def render_pattern(pat: FamilyPattern,
     slots = pat.slots
     while i < len(slots):
         slot = slots[i]
-        if slot.kind == "fixed":
+        if slot.scale is None:
             j = i
             while j < len(slots) and slots[j] == slot:
                 j += 1
@@ -261,7 +258,7 @@ def render_pattern(pat: FamilyPattern,
             continue
         letter = letters[next_letter]
         next_letter += 1
-        prefix = {"free": "", "even": "2", "triple": "3"}[slot.kind]
+        prefix = str(slot.scale) if slot.scale > 1 else ""
         pieces.append(f"Z/{prefix}{letter}")
         constraints.append(f"{letter} >= 1")
         i += 1

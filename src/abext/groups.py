@@ -189,12 +189,12 @@ class AbelianGroup:
 
     def p_part(self, p: int) -> Partition:
         """Type of the p-part; the empty partition when p does not divide
-        the order."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        the order.  Raises ValueError when p is not prime."""
         for q, parts in self._types:
             if q == p:
                 return parts
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         return ()
 
     def rank(self) -> int:

@@ -1,20 +1,21 @@
 import os
 import pickle
-import random
 import subprocess
 import sys
 
 import pytest
 
 from abext.extensions import GroupSet
-from abext.families import (A1, A2, A3P, B3P, PA4P, PB4P, BUILTIN_FAMILIES,
-                            EVEN, FREE, Family, FamilyPattern, Slot, TRIPLE,
+from abext import families
+from abext.families import (A1, A1xA3P, A2, A2xA2, A3P, B1xB3P, B3P, PA4P,
+                            PB4P, BUILTIN_FAMILIES, EVEN, FREE, Family,
+                            FamilyPattern, Slot, TRIPLE,
                             enumerate_family, family_contains, family_product,
                             fixed, get_family, instantiate_pattern, matches,
                             render_pattern)
 from abext.groups import TRIVIAL, parse_group
 
-from oracles import all_abelian_groups_upto, naive_matches, random_group
+from oracles import all_abelian_groups_upto, naive_matches
 
 
 def test_slot_validation():
@@ -80,7 +81,8 @@ def test_family_hash_is_by_value():
         assert matches(g, pattern) == matches(g, twin)
     assert family_product(A2, A2) == get_family("A2xA2")
     assert hash(family_product(A2, A2)) == hash(get_family("A2xA2"))
-    # cached in the class body, which the per-layer tracer wraps
+    # each class defines __hash__ in its own __dict__, where the per-layer
+    # tracer wraps it: Family by hand, FamilyPattern by the dataclass
     assert "__hash__" in Family.__dict__
     assert "__hash__" in FamilyPattern.__dict__
 
@@ -149,10 +151,11 @@ def test_enumerate_rejects_bad_bound():
         enumerate_family(A1, 0)
 
 
-def test_enumerate_resource_limit():
+def test_enumerate_resource_limit(monkeypatch):
     from abext.extensions import ResourceLimitError
-    with pytest.raises(ResourceLimitError):
-        enumerate_family(A3P, 512, max_results=100)
+    monkeypatch.setattr(families, "MAX_ENUMERATION", 100)
+    with pytest.raises(ResourceLimitError, match="limit of 100"):
+        enumerate_family(A3P, 512)
 
 
 def test_a2_without_low_products_is_two_sporadics():
@@ -188,12 +191,12 @@ def test_pattern_round_trip_all_rows():
 
 
 def test_matches_agrees_with_naive_search():
-    rng = random.Random(41)
-    patterns = [pat for fam in (A1, A2, A3P, B3P) for pat in fam.patterns]
-    for _ in range(40):
-        g = random_group(rng, primes=(2, 3), max_size=3)
-        if g.order() > 150:
-            continue
+    # every pattern of every built-in family (104 rows of nine families,
+    # 57 distinct patterns) against every group of order up to 128
+    patterns = list(dict.fromkeys(
+        pat for fam in BUILTIN_FAMILIES.values() for pat in fam.patterns))
+    assert len(patterns) == 57
+    for g in all_abelian_groups_upto(128):
         for pat in patterns:
             assert matches(g, pat) == naive_matches(g, pat), (str(g), pat)
 
@@ -201,7 +204,7 @@ def test_matches_agrees_with_naive_search():
 def test_enumeration_matches_membership_on_universe():
     # bounded enumeration and the pattern matcher must agree on every
     # abelian group in the window
-    for family in (A1, A2, A3P, B3P, PA4P, PB4P):
+    for family in (A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B1xB3P):
         members = enumerate_family(family, 48)
         for g in all_abelian_groups_upto(48):
             assert (g in members) == family_contains(g, family), \
