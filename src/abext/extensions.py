@@ -87,15 +87,15 @@ def is_extension(g: AbelianGroup, h: AbelianGroup, k: AbelianGroup) -> bool:
                for p in g.primes)
 
 
-@lru_cache(maxsize=None)
+# No memo: a pair recurs in at most about a third of calls, each call is cheap
+# next to the memoized expansions, and a pair memo kept a set alive per pair.
 def extension_set(h: AbelianGroup, k: AbelianGroup) -> GroupSet:
     """All extensions of k by h, combining primes independently."""
-    primes = sorted(set(h.primes) | set(k.primes))
-    per_prime = [list(lr_expand(h.p_part(p), k.p_part(p))) for p in primes]
-    groups = []
-    for combo in itertools.product(*per_prime):
-        groups.append(AbelianGroup(dict(zip(primes, combo))))
-    return GroupSet(groups)
+    ht, kt = h.prime_types(), k.prime_types()
+    primes = sorted(ht.keys() | kt.keys())
+    per_prime = [list(lr_expand(ht.get(p, ()), kt.get(p, ()))) for p in primes]
+    return GroupSet(AbelianGroup(dict(zip(primes, combo)))
+                    for combo in itertools.product(*per_prime))
 
 
 def set_product(a: GroupSet, b: GroupSet) -> GroupSet:

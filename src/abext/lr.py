@@ -11,8 +11,8 @@ queries can stop at the first completed filling.
 A product lam . nu is expanded by iterating candidate shapes mu of size
 |lam| + |nu| inside the bounding box (len(lam) + len(nu) rows, lam[0] +
 nu[0] columns) that contain lam, keeping those with positive coefficient.
-Coefficients and expansions are memoized; arguments must be canonical
-partitions.
+Expansions and positivity answers are memoized; a lone coefficient is
+computed fresh.  Arguments must be canonical partitions.
 
 Both searches recurse, one Python frame per row of a candidate shape and
 one per cell of a filling.  Inputs that would need more than MAX_DEPTH
@@ -38,6 +38,7 @@ def lr_coefficient(lam: Partition, nu: Partition, mu: Partition) -> int:
     return _count_fillings(lam, nu, mu, False)
 
 
+@lru_cache(maxsize=None)
 def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
     """True when mu appears in lam . nu.
 
@@ -90,7 +91,6 @@ def _candidates(lam, nu):
     return out
 
 
-@lru_cache(maxsize=None)
 def _count_fillings(lam, nu, mu, first_only):
     if size(mu) != size(lam) + size(nu):
         return 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from abext.extensions import (GroupSet, ResourceLimitError,
 from abext.groups import AbelianGroup, TRIVIAL, parse_group
 from abext.partitions import componentwise_sum
 
-from oracles import partitions_upto, random_group
+from oracles import (all_abelian_groups_upto, partitions_of, partitions_upto,
+                     random_group)
 
 
 def gs(*texts):
@@ -155,6 +157,35 @@ def test_oracle_agreement_small():
         for h in groups:
             for k in groups:
                 assert is_extension(g, h, k) == brute_force_is_extension(g, h, k)
+
+
+def test_extension_set_matches_oracle_on_p_groups():
+    # every pair of p-group types with at most 6 boxes in all at p = 2 and
+    # 4 at p = 3: the whole extension set, not one g at a time
+    for p, boxes in ((2, 6), (3, 4)):
+        for total in range(boxes + 1):
+            candidates = [AbelianGroup({p: t}) for t in partitions_of(total)]
+            for lam, nu in itertools.product(partitions_upto(total), repeat=2):
+                if sum(lam) + sum(nu) != total:
+                    continue
+                h, k = AbelianGroup({p: lam}), AbelianGroup({p: nu})
+                expected = {g for g in candidates
+                            if brute_force_is_extension(g, h, k)}
+                assert extension_set(h, k).members == expected, (h, k)
+
+
+def test_extension_set_matches_oracle_on_mixed_primes():
+    rng = random.Random(31)
+    pairs = [(random_group(rng, primes=(2, 3), max_size=2),
+              random_group(rng, primes=(2, 3), max_size=2))
+             for _ in range(30)]
+    universe = list(all_abelian_groups_upto(
+        max(h.order() * k.order() for h, k in pairs)))
+    for h, k in pairs:
+        expected = {g for g in universe
+                    if g.order() == h.order() * k.order()
+                    and brute_force_is_extension(g, h, k)}
+        assert extension_set(h, k).members == expected, (h, k)
 
 
 def test_oracle_agreement_mixed_primes():

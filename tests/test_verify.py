@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -209,3 +212,22 @@ def test_witnesses_are_recheckable():
         assert not family_contains(g, PA4P)
         for h, k in report.witness_sources[g]:
             assert g in extension_set(h, k)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads the peak RSS from /proc/self/status")
+def test_thm_second_memory_ceiling():
+    # a fresh process, so that memos filled by other tests do not count;
+    # its ru_maxrss would not do, since Linux carries the launching
+    # process's peak across exec.  Importing abext alone takes about 16 MB.
+    code = ("from abext.verify import CLAIMS; "
+            "print(CLAIMS['thm-second'](128).verdict); "
+            "print(open('/proc/self/status').read())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    lines = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    peak_kib = next(int(line.split()[1]) for line in lines
+                    if line.startswith("VmHWM:"))
+    assert lines[0] == "pass"
+    assert peak_kib < 64 * 1024
