@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -56,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default text)")
     common.add_argument("--out", metavar="FILE",
                         help="write the output to FILE instead of stdout")
-    common.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1,
-                        help="worker pool size hint; results are identical "
-                             "for any value")
 
     parser = _Parser(prog="abext",
                      description="Abelian group extensions via Young-diagram "

@@ -63,15 +63,6 @@ class GroupSet:
     def __hash__(self) -> int:
         return hash(self._members)
 
-    def __or__(self, other: "GroupSet") -> "GroupSet":
-        return GroupSet(self._members | other._members)
-
-    def __and__(self, other: "GroupSet") -> "GroupSet":
-        return GroupSet(self._members & other._members)
-
-    def __sub__(self, other: "GroupSet") -> "GroupSet":
-        return GroupSet(self._members - other._members)
-
     def __le__(self, other: "GroupSet") -> bool:
         return self._members <= other._members
 

@@ -13,7 +13,12 @@ Z/3k analogously at p = 3, and Z/k may absorb one part anywhere.  Every
 constraint binds at a single prime with threshold one, so a group matches
 exactly when, at each prime, the pattern's fixed exponents are among its
 parts and the rest of its parts satisfies mandatory <= rest <= params;
-a FamilyPattern compiles these per-prime demands at construction.
+a FamilyPattern compiles these demands, and admits checks them at one p.
+
+A family's rows are its patterns, then its exceptional groups lifted to
+fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
+that admit the p-type parts, and a group is a member exactly when the AND
+of its masks over its primes and the rows' primes is nonzero.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -25,12 +30,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import ResourceLimitError
 from .extensions import GroupSet
 from .groups import AbelianGroup, factorize
+from .partitions import Partition
 
 _KINDS = ("free", "even", "triple", "fixed")
 
@@ -73,7 +79,7 @@ class FamilyPattern:
     """A product of slots; one row of a family table.
 
     Equality, hash and repr are by slots.  Construction compiles the slots
-    into the per-prime demands that matches reads:
+    into the per-prime demands that admits reads:
     fixed      {p: Counter of the exponents the fixed slots take at p}
     mandatory  {p: number of parameterized slots whose scale p divides}
     params     number of parameterized slots
@@ -99,51 +105,63 @@ class FamilyPattern:
         object.__setattr__(self, "mandatory", mandatory)
         object.__setattr__(self, "params", params)
 
+    def admits(self, p: int, parts: Partition) -> bool:
+        """True when the p-type parts meets this pattern's demands at p."""
+        rest = len(parts)
+        taken = self.fixed.get(p)
+        if taken:
+            if not taken <= Counter(parts):
+                return False
+            rest -= taken.total()
+        return self.mandatory.get(p, 0) <= rest <= self.params
+
 
 @dataclass(frozen=True)
 class Family:
     """A named union of patterns and finitely many exceptional groups.
 
-    Equality is by value; the hash is computed once, at construction, since
-    families key the family_contains cache.
+    Equality is by value.  The hash is the name's: cheap, since families
+    key the row_mask memo, and consistent with equality.
     """
 
     name: str
     patterns: tuple[FamilyPattern, ...]
     exceptional: GroupSet = field(default_factory=GroupSet)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.patterns, self.exceptional)))
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.name)
 
-    def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
-        return Family, (self.name, self.patterns, self.exceptional)
+    @cached_property
+    def rows(self) -> tuple[FamilyPattern, ...]:
+        """The patterns, then each exceptional group lifted to a pattern."""
+        return self.patterns + tuple(_lift(g) for g in self.exceptional)
+
+    @cached_property
+    def primes(self) -> frozenset[int]:
+        """Every prime at which some row demands a part."""
+        return frozenset(p for row in self.rows
+                         for p in (*row.fixed, *row.mandatory))
 
 
 def matches(group: AbelianGroup, pat: FamilyPattern) -> bool:
     """True when some instantiation of the pattern is isomorphic to group."""
-    for p in {*group.primes, *pat.fixed, *pat.mandatory}:
-        parts = group.p_part(p)
-        rest = len(parts)
-        taken = pat.fixed.get(p)
-        if taken:
-            if not taken <= Counter(parts):
-                return False
-            rest -= taken.total()
-        if not pat.mandatory.get(p, 0) <= rest <= pat.params:
-            return False
-    return True
+    return all(pat.admits(p, group.p_part(p))
+               for p in {*group.primes, *pat.fixed, *pat.mandatory})
 
 
 @lru_cache(maxsize=None)
+def row_mask(family: Family, p: int, parts: Partition) -> int:
+    """Bitmask of family's rows (bit i for rows[i]) admitting parts at p."""
+    return sum(1 << i for i, row in enumerate(family.rows)
+               if row.admits(p, parts))
+
+
 def family_contains(group: AbelianGroup, family: Family) -> bool:
     """True when the group matches some pattern or is exceptional."""
-    return group in family.exceptional or any(
-        matches(group, pat) for pat in family.patterns)
+    mask = (1 << len(family.rows)) - 1
+    for p in {*group.primes, *family.primes}:
+        mask &= row_mask(family, p, group.p_part(p))
+    return mask != 0
 
 
 def family_product(f1: Family, f2: Family, name: str | None = None) -> Family:
@@ -154,12 +172,10 @@ def family_product(f1: Family, f2: Family, name: str | None = None) -> Family:
     syntactic equality after canonical slot sorting; redundant patterns do
     not affect membership.
     """
-    left = f1.patterns + tuple(_lift(g) for g in f1.exceptional)
-    right = f2.patterns + tuple(_lift(g) for g in f2.exceptional)
     seen = set()
     out = []
-    for p1 in left:
-        for p2 in right:
+    for p1 in f1.rows:
+        for p2 in f2.rows:
             combined = tuple(sorted(p1.slots + p2.slots, key=_slot_key))
             if combined not in seen:
                 seen.add(combined)
@@ -187,11 +203,8 @@ def enumerate_family(family: Family, order_bound: int) -> GroupSet:
         raise ValueError("order bound must be >= 1")
     budget = [MAX_ENUMERATION]
     found: set[AbelianGroup] = set()
-    for pat in family.patterns:
-        _instantiate(pat.slots, order_bound, [], found, budget)
-    for g in family.exceptional:
-        if g.order() <= order_bound:
-            found.add(g)
+    for row in family.rows:
+        _instantiate(row.slots, order_bound, [], found, budget)
     return GroupSet(found)
 
 

@@ -9,11 +9,12 @@ target family.  There are three step kinds:
   extension  every extension of the pair lies in the target;
   product    the direct product of the pair lies in the target;
   closure    every extension of the pair is an extension of two target
-             members.  Pairs inside target x target are counted but not
-             swept, since they realize all their extensions there.
+             members.
 
-Membership tests never use truncated enumerations, so a pass verifies the
-claim restricted to pairs within the window.
+_outside decides all three per prime, by bitmasks over the target's rows
+(row_mask) or, for closure, over pairs of rows (_reach, whose docstring
+argues that it is exact).  No test uses a truncated enumeration, so a
+pass verifies the claim restricted to pairs within the window.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -35,13 +36,14 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import Iterator
 
-from .extensions import GroupSet, extension_set, is_extension
+from .extensions import GroupSet
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
-                       enumerate_family, family_contains, family_product)
+                       enumerate_family, family_product, row_mask)
 from .groups import AbelianGroup
-from .lr import lr_expand
-from .partitions import Partition
+from .lr import lr_expand, lr_positive
+from .partitions import Partition, union_merge
 
 DEFAULT_BOUND = 64
 
@@ -135,69 +137,66 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
             if family not in members:
                 # a plain list: GroupSet iteration sorts on every pass
                 members[family] = list(enumerate_family(family, bound))
-        step, target = sweep.step, sweep.target
         for h in members[sweep.left]:
             for k in members[sweep.right]:
                 checked += 1
-                if step == "product":
-                    results = (h.direct_product(k),)
-                elif (step == "closure" and family_contains(h, target)
-                      and family_contains(k, target)):
-                    # extensions of two target members are in the closure
-                    continue
-                else:
-                    # unordered: only the final witness list needs sorting
-                    results = extension_set(h, k).members
-                for g in results:
-                    if step == "closure":
-                        inside = _extends_two(g, target)
-                    else:
-                        inside = family_contains(g, target)
-                    if not inside:
-                        witnesses.setdefault(g, set()).add((h, k))
+                for g in _outside(sweep.step, h, k, sweep.target):
+                    witnesses.setdefault(g, set()).add((h, k))
     return _finalize(claim.claim_id, bound, checked, witnesses,
                      claim.expected, start)
 
 
-@lru_cache(maxsize=None)
-def _extends_two(g: AbelianGroup, family: Family) -> bool:
-    """Exact membership of g in the extension closure of family with itself.
+def _outside(step: str, h: AbelianGroup, k: AbelianGroup,
+             target: Family) -> Iterator[AbelianGroup]:
+    """The results of step on (h, k) that fail the target test.
 
-    If g is an extension of k by h, then at each prime p the types h_p and
-    k_p are sub-diagrams of g_p, since a positive Littlewood-Richardson
-    coefficient needs both inside mu; and h and k have no prime outside g,
-    since |h||k| = |g|.  So the family members whose p-types are
-    sub-diagrams of the p-types of g, paired by complementary order, are
-    every candidate pair: the search is exhaustive, with no window
-    truncation, and never looks at groups that g cannot contain.
+    Each prime offers its candidate p-types (union_merge of h_p and k_p for
+    a product, lr_expand otherwise) grouped by mask.  A result fails exactly
+    when the AND of its masks is 0, and only those results are built.
     """
-    primes = g.primes
-    by_order: dict[int, list[AbelianGroup]] = {}
-    for types in itertools.product(*(_subdiagrams(g.p_part(p))
-                                     for p in primes)):
-        h = _member(primes, types, family)
-        if h is not None:
-            by_order.setdefault(h.order(), []).append(h)
-    n = g.order()
-    for d, halves in by_order.items():
-        if d * d <= n:
-            for h in halves:
-                for k in by_order.get(n // d, ()):
-                    if is_extension(g, h, k):
-                        return True
-    return False
+    ht, kt = h.prime_types(), k.prime_types()
+    primes = sorted(ht.keys() | kt.keys() | target.primes)
+    n = len(target.rows)
+    mask_of, full = ((_reach, (1 << n * n) - 1) if step == "closure"
+                     else (row_mask, (1 << n) - 1))
+    per_prime = []
+    for p in primes:
+        a, b = ht.get(p, ()), kt.get(p, ())
+        mus = (union_merge(a, b),) if step == "product" else lr_expand(a, b)
+        by_mask: dict[int, list[Partition]] = {}
+        for mu in mus:
+            by_mask.setdefault(mask_of(target, p, mu), []).append(mu)
+        per_prime.append(by_mask.items())
+    for combo in itertools.product(*per_prime):
+        mask = full
+        for m, _ in combo:
+            mask &= m
+        if mask:
+            continue
+        for types in itertools.product(*(mus for _, mus in combo)):
+            yield AbelianGroup(dict(zip(primes, types)))
 
 
 @lru_cache(maxsize=None)
-def _member(primes: tuple[int, ...], types: tuple[Partition, ...],
-            family: Family) -> AbelianGroup | None:
-    """The group with the given p-types when it lies in family, else None.
+def _reach(family: Family, p: int, mu: Partition) -> int:
+    """Bitmask over row pairs: bit i * len(rows) + j is set when some a, b
+    with mu in lr_expand(a, b) have rows[i] admitting a and rows[j] b at p.
 
-    Nearby g share most of their sub-diagram groups, so each is built and
-    tested once.
+    Exact for closure: g is an extension of k by h when every p-part has a
+    positive coefficient for (h_p, k_p), which puts h_p and k_p inside g_p
+    and h, k inside g's primes (|h||k| = |g|).  Rows split over primes too,
+    so g extends members of rows i and j exactly when bit (i, j) survives
+    the AND of _reach over the primes of g and of the rows.
     """
-    h = AbelianGroup(dict(zip(primes, types)))
-    return h if family_contains(h, family) else None
+    n = len(family.rows)
+    bits = 0
+    for a in _subdiagrams(mu):
+        left = row_mask(family, p, a)
+        for b in _subdiagrams(mu):
+            if left and sum(a) + sum(b) == sum(mu) and lr_positive(a, b, mu):
+                right = row_mask(family, p, b)
+                bits |= sum(right << i * n for i in range(n) if left >> i & 1)
+    return bits
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ counts by the hook length formula, row products by direct horizontal-strip
 enumeration, and pattern membership by searching cyclic factorizations of
 the order.  The extension closure of a family is searched, as the
 package once did, through a window of family members paired by
-complementary order.
+complementary order, and naive_run_claim sweeps a claim as the package
+once did, building every result group and testing it with those two.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from abext import AbelianGroup, make_partition
-from abext.extensions import is_extension
+from abext.extensions import extension_set, is_extension
 from abext.families import Family, FamilyPattern, enumerate_family
 
 
@@ -157,6 +158,43 @@ def naive_extends_two(g: AbelianGroup, family: Family,
     return any(is_extension(g, h, k)
                for d in divisors(n) for h in buckets.get(d, ())
                for k in buckets.get(n // d, ()))
+
+
+def naive_member(group: AbelianGroup, family: Family) -> bool:
+    return group in family.exceptional or any(
+        naive_matches(group, pat) for pat in family.patterns)
+
+
+def naive_run_claim(claim, bound):
+    """checked_pairs and {witness: set of source pairs} of a claim's sweeps,
+    with every result built by extension_set or direct_product and tested
+    by naive_member, or for closure by naive_extends_two over members up
+    to bound squared, which bounds every result's order.  Closure pairs
+    inside target x target are skipped, since all their extensions are
+    extensions of two members."""
+    member = lru_cache(maxsize=None)(naive_member)
+    checked = 0
+    witnesses = {}
+    for sweep in claim.sweeps:
+        target = sweep.target
+        for h in enumerate_family(sweep.left, bound):
+            for k in enumerate_family(sweep.right, bound):
+                checked += 1
+                if sweep.step == "product":
+                    results = [h.direct_product(k)]
+                elif (sweep.step == "closure" and member(h, target)
+                      and member(k, target)):
+                    continue
+                else:
+                    results = extension_set(h, k)
+                for g in results:
+                    if sweep.step == "closure":
+                        inside = naive_extends_two(g, target, bound * bound)
+                    else:
+                        inside = member(g, target)
+                    if not inside:
+                        witnesses.setdefault(g, set()).add((h, k))
+    return checked, witnesses
 
 
 def all_abelian_groups_upto(bound):

@@ -88,8 +88,8 @@ def test_family_hash_is_by_value():
 
 
 def test_cached_hash_survives_pickling_across_processes():
-    # string hashes are salted per process, so a cached hash must not
-    # travel inside a pickle
+    # string hashes are salted per process, so no hash may travel inside
+    # a pickle
     code = ("import pickle, sys; from abext.families import A2; "
             "sys.stdout.buffer.write(pickle.dumps(A2))")
     env = dict(os.environ, PYTHONHASHSEED="12345",
@@ -121,6 +121,15 @@ def test_family_product_lifts_exceptionals():
     assert family_contains(parse_group("Z/4^4"), prod)
     assert not family_contains(parse_group("Z/4^3 x Z/2"), prod)
     assert not prod.exceptional
+
+
+def test_exceptional_groups_are_rows():
+    z44 = parse_group("Z/4^4")
+    spor = Family("S", (), GroupSet([z44]))
+    assert [str(g) for g in all_abelian_groups_upto(256)
+            if family_contains(g, spor)] == ["Z/4^4"]
+    assert enumerate_family(spor, 256) == GroupSet([z44])
+    assert enumerate_family(spor, 255) == GroupSet()
 
 
 def test_enumerate_a1():
@@ -199,6 +208,14 @@ def test_matches_agrees_with_naive_search():
     for g in all_abelian_groups_upto(128):
         for pat in patterns:
             assert matches(g, pat) == naive_matches(g, pat), (str(g), pat)
+
+
+def test_family_contains_agrees_with_naive_search():
+    for g in all_abelian_groups_upto(128):
+        for family in BUILTIN_FAMILIES.values():
+            expected = any(naive_matches(g, pat) for pat in family.patterns)
+            assert family_contains(g, family) == expected, \
+                (str(g), family.name)
 
 
 def test_enumeration_matches_membership_on_universe():

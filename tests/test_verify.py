@@ -5,14 +5,15 @@ import time
 
 import pytest
 
-from abext.extensions import extension_set
+from abext.extensions import GroupSet, extension_set
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
                             enumerate_family, family_contains)
-from abext.groups import parse_group
-from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _extends_two,
-                          _finalize, regression_expansions, run_claim)
+from abext.groups import TRIVIAL, parse_group
+from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
+                          _outside, regression_expansions, run_claim)
 
-from oracles import all_abelian_groups_upto, naive_extends_two
+from oracles import (all_abelian_groups_upto, naive_extends_two,
+                     naive_run_claim)
 
 
 def test_prop_ext_low_passes():
@@ -56,14 +57,36 @@ def test_thm_second_small_window():
     assert len(report.witnesses) == 0
 
 
+# drop the Z/2k x Z/4^2 x Z/2 row; extensions reaching it must surface
+_BROKEN = Family("A3p-broken", A3P.patterns[:1] + A3P.patterns[2:])
+_CORRUPTED = Claim("corrupted", (Sweep("extension", A1, A2, _BROKEN),))
+# the same, with one of the lost groups exceptional
+_LOST = parse_group("Z/8 x Z/4^2 x Z/2")
+_PATCHED = Claim("patched", (Sweep("extension", A1, A2, Family(
+    "A3p-patched", _BROKEN.patterns, GroupSet([_LOST]))),))
+
+
 def test_corrupted_table_is_detected():
-    # drop the Z/2k x Z/4^2 x Z/2 row; extensions reaching it must surface
-    corrupted = Family("A3p-broken",
-                       A3P.patterns[:1] + A3P.patterns[2:])
-    claim = Claim("corrupted", (Sweep("extension", A1, A2, corrupted),))
-    report = run_claim(claim, 32)
+    report = run_claim(_CORRUPTED, 32)
     assert report.verdict == "fail", "corruption went unnoticed"
-    assert parse_group("Z/8 x Z/4^2 x Z/2") in report.witnesses
+    assert _LOST in report.witnesses
+
+
+def test_exceptional_target_members_are_not_witnesses():
+    report = run_claim(_PATCHED, 32)
+    assert report.verdict == "fail"
+    assert set(report.witnesses) == (
+        set(run_claim(_CORRUPTED, 32).witnesses) - {_LOST})
+
+
+@pytest.mark.parametrize("claim", CLAIM_TABLE + (_CORRUPTED, _PATCHED),
+                         ids=lambda claim: claim.claim_id)
+def test_run_claim_matches_naive_sweep(claim):
+    report = run_claim(claim, 32)
+    checked, witnesses = naive_run_claim(claim, 32)
+    assert report.checked_pairs == checked
+    assert report.witness_sources == {
+        g: tuple(sorted(pairs)) for g, pairs in witnesses.items()}
 
 
 _SQUARE_PAIR = ("Z/4^2 x Z/2", "Z/4^2 x Z/2")
@@ -107,8 +130,10 @@ def test_closure_search_matches_window_search():
                 reached |= extension_set(h, k).members
     assert len(reached) > 100
     for g in reached:
-        assert _extends_two(g, sweep.target) == naive_extends_two(
-            g, sweep.target, bound * bound), str(g)
+        # extension_set(g, TRIVIAL) is {g}
+        inside = not any(_outside("closure", g, TRIVIAL, sweep.target))
+        assert inside == naive_extends_two(g, sweep.target, bound * bound), \
+            str(g)
 
 
 def test_closure_search_on_small_groups():
@@ -116,7 +141,7 @@ def test_closure_search_on_small_groups():
     verdicts = {}
     for g in all_abelian_groups_upto(256):
         for family in (A1, A2, A3P):
-            verdict = _extends_two(g, family)
+            verdict = not any(_outside("closure", g, TRIVIAL, family))
             assert verdict == naive_extends_two(g, family, 256), \
                 (str(g), family.name)
             verdicts.setdefault(family.name, set()).add(verdict)
@@ -214,14 +239,13 @@ def test_witnesses_are_recheckable():
             assert g in extension_set(h, k)
 
 
-@pytest.mark.skipif(sys.platform != "linux",
-                    reason="reads the peak RSS from /proc/self/status")
-def test_thm_second_memory_ceiling():
+def _claim_in_child(claim_id, bound):
+    """Verdict and peak RSS in KiB of one claim run in a fresh process."""
     # a fresh process, so that memos filled by other tests do not count;
     # its ru_maxrss would not do, since Linux carries the launching
     # process's peak across exec.  Importing abext alone takes about 16 MB.
     code = ("from abext.verify import CLAIMS; "
-            "print(CLAIMS['thm-second'](128).verdict); "
+            f"print(CLAIMS[{claim_id!r}]({bound}).verdict); "
             "print(open('/proc/self/status').read())")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     lines = subprocess.run([sys.executable, "-c", code], env=env,
@@ -229,5 +253,23 @@ def test_thm_second_memory_ceiling():
                            check=True).stdout.splitlines()
     peak_kib = next(int(line.split()[1]) for line in lines
                     if line.startswith("VmHWM:"))
-    assert lines[0] == "pass"
+    return lines[0], peak_kib
+
+
+_ON_LINUX = pytest.mark.skipif(
+    sys.platform != "linux",
+    reason="reads the peak RSS from /proc/self/status")
+
+
+@_ON_LINUX
+def test_thm_second_memory_ceiling():
+    verdict, peak_kib = _claim_in_child("thm-second", 128)
+    assert verdict == "pass"
     assert peak_kib < 64 * 1024
+
+
+@_ON_LINUX
+def test_prop_product_types_memory_ceiling():
+    verdict, peak_kib = _claim_in_child("prop-product-types", 128)
+    assert verdict == "pass"
+    assert peak_kib < 32 * 1024
