@@ -13,8 +13,9 @@ target family.  There are three step kinds:
 
 _outside decides all three per prime, by bitmasks over the target's rows
 (row_mask) or, for closure, over pairs of rows (_reach, whose docstring
-argues that it is exact).  No test uses a truncated enumeration, so a
-pass verifies the claim restricted to pairs within the window.
+argues that it is exact), grouped once per (p, h_p, k_p) by _options.
+No test uses a truncated enumeration, so a pass verifies the claim
+restricted to pairs within the window.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -35,8 +36,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import Iterator
+from functools import lru_cache, partial, reduce
+from operator import and_
 
 from .extensions import GroupSet
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
@@ -136,45 +137,47 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
         for family in (sweep.left, sweep.right):
             if family not in members:
                 # a plain list: GroupSet iteration sorts on every pass
-                members[family] = list(enumerate_family(family, bound))
-        for h in members[sweep.left]:
-            for k in members[sweep.right]:
+                members[family] = [(g, g.prime_types())
+                                   for g in enumerate_family(family, bound)]
+        for h, ht in members[sweep.left]:
+            for k, kt in members[sweep.right]:
                 checked += 1
-                for g in _outside(sweep.step, h, k, sweep.target):
+                for g in _outside(sweep.step, ht, kt, sweep.target):
                     witnesses.setdefault(g, set()).add((h, k))
     return _finalize(claim.claim_id, bound, checked, witnesses,
                      claim.expected, start)
 
 
-def _outside(step: str, h: AbelianGroup, k: AbelianGroup,
-             target: Family) -> Iterator[AbelianGroup]:
-    """The results of step on (h, k) that fail the target test.
-
-    Each prime offers its candidate p-types (union_merge of h_p and k_p for
-    a product, lr_expand otherwise) grouped by mask.  A result fails exactly
-    when the AND of its masks is 0, and only those results are built.
+def _outside(step: str, ht: dict, kt: dict,
+             target: Family) -> list[AbelianGroup]:
+    """The results of step on (h, k), given by their prime types, that fail
+    the target test: those whose masks (_options) AND to 0 over the primes.
+    None can when the masks shared within each prime leave a bit set.
     """
-    ht, kt = h.prime_types(), k.prime_types()
-    primes = sorted(ht.keys() | kt.keys() | target.primes)
     n = len(target.rows)
-    mask_of, full = ((_reach, (1 << n * n) - 1) if step == "closure"
-                     else (row_mask, (1 << n) - 1))
-    per_prime = []
-    for p in primes:
-        a, b = ht.get(p, ()), kt.get(p, ())
-        mus = (union_merge(a, b),) if step == "product" else lr_expand(a, b)
-        by_mask: dict[int, list[Partition]] = {}
-        for mu in mus:
-            by_mask.setdefault(mask_of(target, p, mu), []).append(mu)
-        per_prime.append(by_mask.items())
-    for combo in itertools.product(*per_prime):
-        mask = full
-        for m, _ in combo:
-            mask &= m
-        if mask:
-            continue
-        for types in itertools.product(*(mus for _, mus in combo)):
-            yield AbelianGroup(dict(zip(primes, types)))
+    full = (1 << (n * n if step == "closure" else n)) - 1
+    primes = tuple(ht.keys() | kt.keys() | target.primes)
+    per_prime = [_options(step, target, p, ht.get(p, ()), kt.get(p, ()))
+                 for p in primes]
+    if reduce(and_, (shared for shared, _ in per_prime), full):
+        return []
+    return [AbelianGroup(dict(zip(primes, types)))
+            for combo in itertools.product(*(by for _, by in per_prime))
+            if not reduce(and_, (m for m, _ in combo), full)
+            for types in itertools.product(*(mus for _, mus in combo))]
+
+
+@lru_cache(maxsize=None)
+def _options(step: str, target: Family, p: int, a: Partition, b: Partition):
+    """(shared, groups) for step on the p-types a and b: groups pairs each
+    mask (row_mask, or _reach for closure) with the candidate p-types that
+    have it (union_merge for a product, lr_expand otherwise), and shared is
+    the AND of the masks."""
+    mask_of = _reach if step == "closure" else row_mask
+    by_mask: dict[int, list[Partition]] = {}
+    for mu in (union_merge(a, b),) if step == "product" else lr_expand(a, b):
+        by_mask.setdefault(mask_of(target, p, mu), []).append(mu)
+    return reduce(and_, by_mask, -1), tuple(by_mask.items())
 
 
 @lru_cache(maxsize=None)
@@ -189,27 +192,24 @@ def _reach(family: Family, p: int, mu: Partition) -> int:
     the AND of _reach over the primes of g and of the rows.
     """
     n = len(family.rows)
+    subs = [(a, m) for a in _subdiagrams(mu) if (m := row_mask(family, p, a))]
     bits = 0
-    for a in _subdiagrams(mu):
-        left = row_mask(family, p, a)
-        for b in _subdiagrams(mu):
-            if left and sum(a) + sum(b) == sum(mu) and lr_positive(a, b, mu):
-                right = row_mask(family, p, b)
-                bits |= sum(right << i * n for i in range(n) if left >> i & 1)
+    for a, left in subs:
+        for b, right in subs:
+            if sum(a) + sum(b) != sum(mu):
+                continue
+            # the LR test runs only when it could set a new bit
+            pairs = sum(right << i * n for i in range(n) if left >> i & 1)
+            if pairs & ~bits and lr_positive(a, b, mu):
+                bits |= pairs
     return bits
 
 
-@lru_cache(maxsize=None)
 def _subdiagrams(outer: Partition) -> tuple[Partition, ...]:
     """Every partition whose Young diagram lies inside outer, () included."""
-    out: list[Partition] = []
-    level: list[Partition] = [()]
-    for cap in outer:
-        out.extend(level)
-        level = [sub + (x,) for sub in level
-                 for x in range(1, min(cap, sub[-1] if sub else cap) + 1)]
-    out.extend(level)
-    return tuple(out)
+    rows = itertools.product(*(range(cap, -1, -1) for cap in outer))
+    return tuple(tuple(x for x in row if x) for row in rows
+                 if all(x >= y for x, y in zip(row, row[1:])))
 
 
 _A1xA1 = family_product(A1, A1, "A1xA1")

@@ -131,7 +131,8 @@ def test_closure_search_matches_window_search():
     assert len(reached) > 100
     for g in reached:
         # extension_set(g, TRIVIAL) is {g}
-        inside = not any(_outside("closure", g, TRIVIAL, sweep.target))
+        inside = not _outside("closure", g.prime_types(),
+                              TRIVIAL.prime_types(), sweep.target)
         assert inside == naive_extends_two(g, sweep.target, bound * bound), \
             str(g)
 
@@ -141,11 +142,21 @@ def test_closure_search_on_small_groups():
     verdicts = {}
     for g in all_abelian_groups_upto(256):
         for family in (A1, A2, A3P):
-            verdict = not any(_outside("closure", g, TRIVIAL, family))
+            verdict = not _outside("closure", g.prime_types(),
+                                   TRIVIAL.prime_types(), family)
             assert verdict == naive_extends_two(g, family, 256), \
                 (str(g), family.name)
             verdicts.setdefault(family.name, set()).add(verdict)
     assert verdicts == {"A1": {True, False}, "A2": {True}, "A3p": {True}}
+
+
+@pytest.mark.parametrize("step", ["extension", "product", "closure"])
+def test_empty_target_has_every_result_outside(step):
+    # with no rows and no primes to constrain, the masks AND over nothing
+    empty = Family("E", ())
+    assert _outside(step, {}, {}, empty) == [TRIVIAL]
+    z2 = parse_group("Z/2").prime_types()
+    assert _outside(step, z2, {}, empty) == [parse_group("Z/2")]
 
 
 def test_missing_expected_witness_fails_when_window_suffices():
