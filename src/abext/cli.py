@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: lr-expand, lr-coeff, ext, member, enumerate, tables, verify.
-Output is UTF-8, newline terminated, and deterministic for fixed flags;
-text and JSON modes carry the same content.
+Each command returns its JSON payload and its text form; run() writes the
+one --format asks for to stdout or --out.  Output is UTF-8, newline
+terminated, and deterministic for fixed flags.
 
 Exit codes:
   0   success; for verify, the claim passed
   1   the claim failed
   2   the claim passed vacuously (window too small for its witnesses)
   3   resource limit exceeded
-  64  usage, parse or lookup error
+  64  usage, parse, lookup or --out write error
   70  internal error (an exception nothing else handles)
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .extensions import (DEFAULT_ORACLE_BOUND, ResourceLimitError,
@@ -108,43 +110,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+class _Output(NamedTuple):
+    """What a command produced; run() writes one form of it."""
+
+    payload: object                 # printed by --format json
+    text: str                       # printed by --format text
+    code: int = 0                   # exit code
+    details: tuple[str, ...] = ()   # lines for stderr, after the output
 
 
-def _group_lines(groups, args) -> str:
-    if args.format == "json":
-        return json.dumps([str(g) for g in groups])
-    return "\n".join(str(g) for g in groups) if len(groups) else "(empty)"
-
-
-def _cmd_lr_expand(args) -> int:
+def _cmd_lr_expand(args) -> _Output:
     lam = parse_partition(args.lam)
     nu = parse_partition(args.nu)
     expansion = sorted(lr_expand(lam, nu).items(),
                        key=lambda item: sort_key(item[0]))
-    if args.format == "json":
-        payload = [{"partition": list(mu), "multiplicity": c}
-                   for mu, c in expansion]
-        _emit(json.dumps(payload), args)
-    else:
-        _emit("\n".join(f"{format_partition(mu)} {c}" for mu, c in expansion),
-              args)
-    return 0
+    return _Output(
+        [{"partition": list(mu), "multiplicity": c} for mu, c in expansion],
+        "\n".join(f"{format_partition(mu)} {c}" for mu, c in expansion))
 
 
-def _cmd_lr_coeff(args) -> int:
+def _cmd_lr_coeff(args) -> _Output:
     c = lr_coefficient(parse_partition(args.lam), parse_partition(args.nu),
                        parse_partition(args.mu))
-    _emit(json.dumps(c) if args.format == "json" else str(c), args)
-    return 0
+    return _Output(c, str(c))
 
 
-def _cmd_ext(args) -> int:
+def _cmd_ext(args) -> _Output:
     groups = [AbelianGroup.parse(text) for text in args.groups]
     if args.check:
         if len(groups) != 3:
@@ -155,75 +146,51 @@ def _cmd_ext(args) -> int:
             oracle = brute_force_is_extension(g, h, k, args.oracle_bound)
         except ResourceLimitError:
             oracle = None
-        if args.format == "json":
-            _emit(json.dumps({"criterion": criterion, "oracle": oracle}), args)
-        else:
-            oracle_text = "skipped" if oracle is None else str(oracle).lower()
-            _emit(f"criterion: {str(criterion).lower()}\noracle: {oracle_text}",
-                  args)
-        return 0
+        oracle_text = "skipped" if oracle is None else json.dumps(oracle)
+        return _Output({"criterion": criterion, "oracle": oracle},
+                       f"criterion: {json.dumps(criterion)}\n"
+                       f"oracle: {oracle_text}")
     if len(groups) != 2:
         raise _UsageError("ext expects two groups: H K")
-    _emit(_group_lines(extension_set(*groups), args), args)
-    return 0
+    names = [str(g) for g in extension_set(*groups)]
+    return _Output(names, "\n".join(names) or "(empty)")
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> _Output:
     group = AbelianGroup.parse(args.group)
     verdict = family_contains(group, get_family(args.family))
-    _emit(json.dumps(verdict) if args.format == "json"
-          else str(verdict).lower(), args)
-    return 0
+    return _Output(verdict, json.dumps(verdict))
 
 
-def _cmd_enumerate(args) -> int:
-    members = enumerate_family(get_family(args.family), args.bound)
-    _emit(_group_lines(members, args), args)
-    return 0
+def _cmd_enumerate(args) -> _Output:
+    names = [str(g) for g in
+             enumerate_family(get_family(args.family), args.bound)]
+    return _Output(names, "\n".join(names) or "(empty)")
 
 
-def _cmd_tables(args) -> int:
-    if args.format == "json":
-        payload = []
-        for number, family, letters in TABLES:
-            rows = []
-            for i, pat in enumerate(family.patterns, start=1):
-                text, constraints = render_pattern(pat, letters)
-                rows.append({"row": i, "pattern": text,
-                             "constraints": list(constraints)})
-            payload.append({"table": number, "family": family.name,
-                            "rows": rows})
-        _emit(json.dumps(payload, indent=2), args)
-        return 0
-    blocks = []
+def _cmd_tables(args) -> _Output:
+    payload, blocks = [], []
     for number, family, letters in TABLES:
-        lines = [f"Table {number}: {family.name}"]
+        rows, lines = [], [f"Table {number}: {family.name}"]
         for i, pat in enumerate(family.patterns, start=1):
             text, constraints = render_pattern(pat, letters)
+            rows.append({"row": i, "pattern": text,
+                         "constraints": list(constraints)})
             suffix = f"  [{', '.join(constraints)}]" if constraints else ""
             lines.append(f"({i}) {text}{suffix}")
+        payload.append({"table": number, "family": family.name,
+                        "rows": rows})
         blocks.append("\n".join(lines))
-    _emit("\n\n".join(blocks), args)
-    return 0
+    return _Output(payload, "\n\n".join(blocks))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
     report = CLAIMS[args.claim](args.bound)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json_obj()), args)
-    else:
-        witnesses = ", ".join(str(g) for g in report.witnesses) or "none"
-        _emit("\n".join([
-            f"claim_id: {report.claim_id}",
-            f"bound: {report.bound}",
-            f"checked_pairs: {report.checked_pairs}",
-            f"witnesses: {witnesses}",
-            f"verdict: {report.verdict}",
-            f"vacuous: {str(report.vacuous).lower()}",
-        ]), args)
-    for line in report.details:
-        print(line, file=sys.stderr)
-    return report.exit_code
+    payload = report.to_json_obj()
+    fields = dict(payload, witnesses=", ".join(payload["witnesses"]) or "none",
+                  vacuous=json.dumps(payload["vacuous"]))
+    text = "\n".join(f"{key}: {value}" for key, value in fields.items())
+    return _Output(payload, text, report.exit_code, report.details)
 
 
 _COMMANDS = {
@@ -237,24 +204,31 @@ _COMMANDS = {
 }
 
 
-def _usage_exit(err: _UsageError) -> int:
-    if err.usage:
-        print(err.usage.rstrip(), file=sys.stderr)
-    print(f"abext: error: {err}", file=sys.stderr)
-    return 64
-
-
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, dispatch, and return the exit code."""
+    """Parse argv, run the command, write its output; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        result = _COMMANDS[args.command](args)
+        if args.format == "json":
+            indent = 2 if args.command == "tables" else None
+            output = json.dumps(result.payload, indent=indent) + "\n"
+        else:
+            output = result.text + "\n"
+        if args.out is None:
+            sys.stdout.write(output)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(output)
+            except OSError as err:
+                raise _UsageError(f"cannot write {args.out}: "
+                                  f"{err.strerror}") from None
     except _UsageError as err:
-        return _usage_exit(err)
-    try:
-        return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        return _usage_exit(err)
+        if err.usage:
+            print(err.usage.rstrip(), file=sys.stderr)
+        print(f"abext: error: {err}", file=sys.stderr)
+        return 64
     except (ValueError, KeyError) as err:
         message = err.args[0] if err.args else err
         print(f"abext: error: {message}", file=sys.stderr)
@@ -267,6 +241,9 @@ def run(argv: list[str] | None = None) -> int:
         print(f"abext: internal error: {type(err).__name__}: {err}",
               file=sys.stderr)
         return 70
+    for line in result.details:
+        print(line, file=sys.stderr)
+    return result.code
 
 
 def entrypoint() -> None:

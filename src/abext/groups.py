@@ -204,9 +204,6 @@ class AbelianGroup:
     def order(self) -> int:
         return self._order
 
-    def is_trivial(self) -> bool:
-        return not self._types
-
     def direct_product(self, other: "AbelianGroup") -> "AbelianGroup":
         types: dict[int, Partition] = dict(self._types)
         for p, parts in other._types:

@@ -13,8 +13,6 @@ from typing import Iterable
 
 Partition = tuple[int, ...]
 
-EMPTY: Partition = ()
-
 
 def make_partition(raw: Iterable[int]) -> Partition:
     """Sort descending and strip zeros; negative entries are rejected."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from abext import cli
 from abext.cli import run
 from abext.groups import parse_group
+from abext.verify import CLAIMS
 
 
 def get_output(capsys):
@@ -208,3 +210,31 @@ def test_jobs_flag_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --jobs 4" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, target, reason", [
+    (["tables"], "missing/out.txt", "No such file or directory"),
+    (["tables"], ".", "Is a directory"),
+    (["verify", "thm-main", "--bound", "16"], "missing/out.txt",
+     "No such file or directory"),
+])
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys, fmt, argv,
+                                              target, reason):
+    path = tmp_path / target
+    assert run(argv + ["--format", fmt, "--out", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"abext: error: cannot write {path}: {reason}\n"
+
+
+def test_verify_details_follow_the_report(capsys, monkeypatch):
+    report = CLAIMS["regressions"]()
+    failed = dataclasses.replace(report, verdict="fail",
+                                 details=("first failure", "second failure"))
+    monkeypatch.setitem(cli.CLAIMS, "regressions", lambda bound: failed)
+    assert run(["verify", "regressions"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == ["verdict: fail",
+                                              "vacuous: false"]
+    assert captured.err == "first failure\nsecond failure\n"
