@@ -8,16 +8,18 @@ extensions by combining the per-prime expansions.
 
 brute_force_is_extension answers the same question at the element level,
 with no tableau combinatorics: it enumerates every subgroup S of each
-p-part of G and compares isomorphism types of S and G/S, recovered from
-the order statistics |A[p^j]| = p**(sum_i min(a_i, j)).  It exists to
-cross-validate the coefficient criterion and is exhaustive below its
-configured bound.
+p-part of G, each exactly once, by a reverse search over bitmask element
+sets, and compares isomorphism types of S and G/S, recovered from the
+order statistics |A[p^j]| = p**(sum_i min(a_i, j)) by popcounts.  It
+exists to cross-validate the coefficient criterion and is exhaustive
+below its configured bound; a p-part with more than MAX_SUBGROUPS
+subgroups raises ResourceLimitError instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+import operator
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator
@@ -28,6 +30,9 @@ from .lr import lr_expand, lr_positive
 from .partitions import Partition, conjugate
 
 DEFAULT_ORACLE_BOUND = 1024
+# most subgroups the oracle visits in one p-part before it gives up: Z/2^8
+# has 417,199 and Z/4^5 55,989, but Z/2^10 has 229,755,605
+MAX_SUBGROUPS = 10 ** 6
 
 
 class GroupSet:
@@ -113,7 +118,8 @@ def brute_force_is_extension(g: AbelianGroup, h: AbelianGroup,
     """Element-level extension test (see the module docstring).
 
     Raises ResourceLimitError when some p-part of g has order beyond
-    oracle_bound; reduce the instance or raise the bound.
+    oracle_bound (reduce the instance or raise the bound) or more than
+    MAX_SUBGROUPS subgroups.
     """
     for p in g.primes:
         if p ** sum(g.p_part(p)) > oracle_bound:
@@ -128,121 +134,158 @@ def brute_force_is_extension(g: AbelianGroup, h: AbelianGroup,
 @lru_cache(maxsize=None)
 def subgroup_quotient_types(p: int, parts: Partition) -> frozenset:
     """All (subgroup type, quotient type) pairs inside the p-group of the
-    given type, by exhaustive subgroup enumeration.
+    given type, by exhaustive subgroup enumeration (_subgroup_masks).
 
-    Subgroups are grown breadth-first by adjoining one cyclic generator at
-    a time, which reaches every subgroup.  A subgroup is stored as a
-    bitmask over element indices; generators are tried one per coset, since
-    adjoining g and g + s extend a subgroup identically.  Types are
-    recovered from order statistics, never from coset arithmetic.
+    Types come from order statistics counted by popcount: with G[p^j] the
+    elements killed by p^j, |S[p^j]| = |S & G[p^j]|, and
+    |(G/S)[p^j]| = |{x : p^j x in S}| / |S| = |S & p^jG| * |G[p^j]| / |S|,
+    since each fibre of x -> p^j x is a coset of G[p^j].  Only the distinct
+    count tuples are turned into types, once, at the end.
     """
-    moduli = tuple(p ** e for e in parts)
-    n = prod(moduli)
-    elements = list(itertools.product(*(range(m) for m in moduli)))
-    index = {el: i for i, el in enumerate(elements)}
-    zero = index[(0,) * len(parts)]
+    if not parts:
+        return frozenset({((), ())})
+    top = parts[0]
+    killed = [0] * (top + 1)     # killed[j] = G[p^j]
+    multiples = [0] * (top + 1)  # multiples[j] = p^jG
+    for i, (_, vals) in enumerate(_elements(p, parts)):
+        killed[max(e - v for e, v in zip(parts, vals))] |= 1 << i
+        multiples[min(vals)] |= 1 << i
+    for j in range(top):
+        killed[j + 1] |= killed[j]
+        multiples[top - j - 1] |= multiples[top - j]
+    # each tuple holds |S|, |S[p^j]| for 0 < j < top, |S & p^jG| for 0 < j < top
+    masks = [killed[top], *killed[1:top], *multiples[1:top]]
+    counts = {tuple([(s & m).bit_count() for m in masks])
+              for s in _subgroup_masks(p, parts)}
 
-    add = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elements):
-        row = add[i]
-        for j, b in enumerate(elements):
-            row[j] = index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
-
-    # kill_level[x] = least j with p^j * x = 0; p_shift[x] = index of p * x
-    kill_level = []
-    p_shift = []
-    for el in elements:
-        level = 0
-        for x, e in zip(el, parts):
-            if x:
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                level = max(level, e - v)
-        kill_level.append(level)
-        p_shift.append(index[tuple((x * p) % m for x, m in zip(el, moduli))])
-
-    max_exp = parts[0] if parts else 0
-    # preimage_counts[j][t] = #{x : p^j * x = t}
-    power_map = list(range(n))
-    preimage_counts = []
-    for _ in range(max_exp + 1):
-        counts = [0] * n
-        for x in range(n):
-            counts[power_map[x]] += 1
-        preimage_counts.append(counts)
-        power_map = [p_shift[x] for x in power_map]
-
-    def bits(mask):
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
-
-    base = 1 << zero
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        mask = queue.popleft()
-        members = bits(mask)
-        covered = mask
-        for g in range(n):
-            if covered >> g & 1:
-                continue
-            row_g = add[g]
-            for s in members:
-                covered |= 1 << row_g[s]
-            cyc = []
-            t = g
-            while t != zero:
-                cyc.append(t)
-                t = add[t][g]
-            grown = mask
-            for s in members:
-                row = add[s]
-                for m in cyc:
-                    grown |= 1 << row[m]
-            if grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
-
-    def type_from_counts(counts_by_level, total):
-        # counts_by_level[j] = number of elements killed by p^j;
-        # log_p of the cumulative count increments by #(parts >= j) per level
-        cols = []
-        cum = counts_by_level[0]
-        exp_prev = 0
-        for j in range(1, max_exp + 1):
-            cum += counts_by_level[j]
-            exp_j = _exact_log(cum, p)
-            cols.append(exp_j - exp_prev)
-            exp_prev = exp_j
-            if cum == total:
-                break
-        return conjugate(tuple(c for c in cols if c))
-
+    g_killed = [m.bit_count() for m in killed]
     pairs = set()
-    for mask in seen:
-        members = bits(mask)
-        size = len(members)
-        sub_counts = Counter(kill_level[s] for s in members)
-        sub_type = type_from_counts(
-            [sub_counts.get(j, 0) for j in range(max_exp + 1)], size)
-        # |(G/S)[p^j]| = #{x : p^j x in S} / |S|, counted via preimages
-        quo_counts = [0] * (max_exp + 1)
-        prev = 0
-        for j in range(max_exp + 1):
-            cur = sum(preimage_counts[j][s] for s in members) // size
-            quo_counts[j] = cur - prev
-            prev = cur
-            if cur * size == n:
-                break
-        quo_type = type_from_counts(quo_counts, n // size)
-        pairs.add((sub_type, quo_type))
+    for size, *rest in counts:
+        sub_orders = [1, *rest[:top - 1], size]
+        image_sizes = [size, *rest[top - 1:], 1]
+        quo_orders = [a * b // size for a, b in zip(image_sizes, g_killed)]
+        pairs.add((_type_from_orders(sub_orders, p),
+                   _type_from_orders(quo_orders, p)))
     return frozenset(pairs)
+
+
+def _type_from_orders(orders, p: int) -> Partition:
+    # orders[j] = |A[p^j]| = p^(sum_i min(a_i, j)), so the steps of the
+    # logs are the column lengths of A's type
+    logs = [_exact_log(order, p) for order in orders]
+    return conjugate(tuple(b - a for a, b in zip(logs, logs[1:]) if b > a))
+
+
+def _elements(p: int, parts: Partition):
+    """(coordinates, valuations) of each element of the p-group of type
+    parts, in index order: mixed radix, last coordinate fastest.  The
+    valuation of a coordinate x is the largest v <= parts[0] with p^v | x,
+    so a zero coordinate has valuation parts[0]."""
+    top = parts[0] if parts else 0
+    valuation = []
+    for x in range(p ** top):
+        v = 0
+        while v < top and x % p ** (v + 1) == 0:
+            v += 1
+        valuation.append(v)
+    for coords in itertools.product(*(range(p ** e) for e in parts)):
+        yield coords, tuple([valuation[x] for x in coords])
+
+
+def _subgroup_masks(p: int, parts: Partition) -> Iterator[int]:
+    """Every subgroup of the p-group G of type parts, once each, as a
+    bitmask over element indices (the order of _elements).  Raises
+    ResourceLimitError rather than visit more than MAX_SUBGROUPS.
+
+    Reverse search (Avis and Fukuda, 1996) over a tree whose root is 0.
+    For j < parts[c], phi_{c,j}(x) = (x_c / p^j) mod p is a homomorphism
+    from p^jG onto Z/p.  Ordering the pairs (j, c) with parts[c] > j
+    lexicographically, let L_i be the elements of p^jG on which phi_{c',j}
+    vanishes for every c' < c, where (j, c) is the i-th pair; after the
+    last pair comes L_n = 0, with n = sum(parts).  Then
+    G = L_0 > L_1 > ... > L_n = 0, each of index p in the one before.  The
+    level of x (or of a subgroup) is the largest i with x in L_i.  A
+    subgroup T != 0 of level i is not inside L_{i+1}, so its parent
+    T & L_{i+1} has index p in T.
+
+    The children of S are the T = S + <g> with g not in S but p*g in S,
+    so that |T : S| = p.  T's level is min(level(S), level(g)).  When g
+    lies in L_{level(S)}, T has S's level, and its parent T & L_{level(S)+1}
+    does not contain S.  Otherwise level(T) = level(g) < level(S), so S lies
+    in L_{level(T)+1}, and by index S is T's parent.  So S's children are
+    exactly the T grown from a g outside L_{level(S)}.  Each such T is
+    grown once, since its elements leave the candidates at once, and each
+    subgroup but 0 is a child of its parent alone: every subgroup is
+    visited exactly once, and no set of seen subgroups is needed.
+
+    Sets are bitmasks, and adding t * e_c moves the elements with
+    x_c < p^parts[c] - t up by t weights of c and wraps the rest down,
+    so no addition table is built.
+    """
+    if not parts:
+        yield 1
+        return
+    moduli = [p ** e for e in parts]
+    weights = [prod(moduli[c + 1:]) for c in range(len(parts))]
+    n = prod(moduli)
+    full = (1 << n) - 1
+    # starts[j]: the index i of L_i for the pair (j, 0); starts[top] = n
+    starts = list(itertools.accumulate(conjugate(parts), initial=0))
+
+    elements = list(_elements(p, parts))
+    digits = [[0] * m for m in moduli]  # digits[c][v]: elements with x_c = v
+    by_level = [0] * (starts[-1] + 1)
+    preimages = [0] * n                 # preimages[x]: the y with p*y = x
+    level = []
+    for i, (coords, vals) in enumerate(elements):
+        for c, x in enumerate(coords):
+            digits[c][x] |= 1 << i
+        # a zero coordinate has the largest valuation, so index() finds the
+        # first c with phi_{c,j} nonzero; 0 itself gets level starts[top] = n
+        height = min(vals)
+        level.append(starts[height] + vals.index(height))
+        by_level[level[-1]] |= 1 << i
+        preimages[sum(p * x % m * w
+                      for x, m, w in zip(coords, moduli, weights))] |= 1 << i
+    p_multiples = sum(1 << x for x, pre in enumerate(preimages) if pre)
+    # outside[i]: the elements not in L_i
+    outside = list(itertools.accumulate(by_level, operator.or_, initial=0))
+
+    below = [list(itertools.accumulate(row, operator.or_, initial=0))
+             for row in digits]  # below[c][k]: elements with x_c < k
+    moves = [[(below[c][m - t], t * w, full ^ below[c][m - t], (m - t) * w)
+              for t in range(m)]  # t = 0 is never used
+             for c, (m, w) in enumerate(zip(moduli, weights))]
+    # adding g: one (low, left shift, high, right shift) per nonzero coordinate
+    steps = [tuple(moves[c][t] for c, t in enumerate(coords) if t)
+             for coords, _ in elements]
+
+    stack = [(1, starts[-1])]  # the subgroup 0; element 0 has index 0
+    visited = 0
+    while stack:
+        s, lev = stack.pop()
+        visited += 1
+        if visited > MAX_SUBGROUPS:
+            raise ResourceLimitError(
+                f"the {p}-group of type {list(parts)} has more than "
+                f"{MAX_SUBGROUPS} subgroups")
+        yield s
+        omega = 0  # the x with p*x in s
+        rest = s & p_multiples
+        while rest:
+            low = rest & -rest
+            omega |= preimages[low.bit_length() - 1]
+            rest ^= low
+        candidates = omega & outside[lev]
+        while candidates:
+            g = (candidates & -candidates).bit_length() - 1
+            grown = step = s
+            for _ in range(p - 1):
+                for low, left, high, right in steps[g]:
+                    step = (step & low) << left | (step & high) >> right
+                grown |= step
+            candidates &= ~grown
+            stack.append((grown, level[g]))
 
 
 def _exact_log(value: int, p: int) -> int:

@@ -8,17 +8,22 @@ the order.  The extension closure of a family is searched, as the
 package once did, through a window of family members paired by
 complementary order, and naive_run_claim sweeps a claim as the package
 once did, building every result group and testing it with those two.
+naive_subgroup_quotient_types is the element-level oracle as the package
+once ran it: a breadth-first search over an addition table that meets each
+subgroup many times and keeps a set of those already seen.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, deque
 from functools import lru_cache
 from math import factorial
 
 from abext import AbelianGroup, make_partition
 from abext.extensions import extension_set, is_extension
 from abext.families import Family, FamilyPattern, enumerate_family
+from abext.partitions import conjugate
 
 
 def partitions_of(n, max_part=None):
@@ -225,3 +230,145 @@ def random_group(rng, primes=(2, 3, 5), max_size=4) -> AbelianGroup:
         if parts:
             types[p] = parts
     return AbelianGroup(types)
+
+
+def _subgroup_search(p, parts):
+    """Element tables of the p-group of type parts and every subgroup as a
+    bitmask over element indices (itertools.product order)."""
+    moduli = tuple(p ** e for e in parts)
+    n = 1
+    for m in moduli:
+        n *= m
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    index = {el: i for i, el in enumerate(elements)}
+    zero = index[(0,) * len(parts)]
+
+    add = [[0] * n for _ in range(n)]
+    for i, a in enumerate(elements):
+        row = add[i]
+        for j, b in enumerate(elements):
+            row[j] = index[tuple((x + y) % m for x, y, m in zip(a, b, moduli))]
+
+    # breadth-first: adjoin one cyclic generator at a time, one per coset
+    base = 1 << zero
+    seen = {base}
+    queue = deque([base])
+    while queue:
+        mask = queue.popleft()
+        members = _bits(mask)
+        covered = mask
+        for g in range(n):
+            if covered >> g & 1:
+                continue
+            row_g = add[g]
+            for s in members:
+                covered |= 1 << row_g[s]
+            cyc = []
+            t = g
+            while t != zero:
+                cyc.append(t)
+                t = add[t][g]
+            grown = mask
+            for s in members:
+                row = add[s]
+                for m in cyc:
+                    grown |= 1 << row[m]
+            if grown not in seen:
+                seen.add(grown)
+                queue.append(grown)
+    return elements, index, seen
+
+
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def naive_subgroups(p, parts):
+    """Every subgroup of the p-group of type parts, as a set of bitmasks."""
+    return frozenset(_subgroup_search(p, parts)[2])
+
+
+@lru_cache(maxsize=None)
+def naive_subgroup_quotient_types(p, parts):
+    """All (subgroup type, quotient type) pairs inside the p-group of type
+    parts, from the breadth-first subgroup search and order statistics
+    counted element by element."""
+    elements, index, seen = _subgroup_search(p, parts)
+    n = len(elements)
+
+    # kill_level[x] = least j with p^j * x = 0; p_shift[x] = index of p * x
+    kill_level = []
+    p_shift = []
+    moduli = tuple(p ** e for e in parts)
+    for el in elements:
+        level = 0
+        for x, e in zip(el, parts):
+            if x:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                level = max(level, e - v)
+        kill_level.append(level)
+        p_shift.append(index[tuple((x * p) % m for x, m in zip(el, moduli))])
+
+    max_exp = parts[0] if parts else 0
+    # preimage_counts[j][t] = #{x : p^j * x = t}
+    power_map = list(range(n))
+    preimage_counts = []
+    for _ in range(max_exp + 1):
+        counts = [0] * n
+        for x in range(n):
+            counts[power_map[x]] += 1
+        preimage_counts.append(counts)
+        power_map = [p_shift[x] for x in power_map]
+
+    def type_from_counts(counts_by_level, total):
+        # counts_by_level[j] = number of elements killed by p^j;
+        # log_p of the cumulative count increments by #(parts >= j) per level
+        cols = []
+        cum = counts_by_level[0]
+        exp_prev = 0
+        for j in range(1, max_exp + 1):
+            cum += counts_by_level[j]
+            exp_j = _exact_log(cum, p)
+            cols.append(exp_j - exp_prev)
+            exp_prev = exp_j
+            if cum == total:
+                break
+        return conjugate(tuple(c for c in cols if c))
+
+    pairs = set()
+    for mask in seen:
+        members = _bits(mask)
+        size = len(members)
+        sub_counts = Counter(kill_level[s] for s in members)
+        sub_type = type_from_counts(
+            [sub_counts.get(j, 0) for j in range(max_exp + 1)], size)
+        # |(G/S)[p^j]| = #{x : p^j x in S} / |S|, counted via preimages
+        quo_counts = [0] * (max_exp + 1)
+        prev = 0
+        for j in range(max_exp + 1):
+            cur = sum(preimage_counts[j][s] for s in members) // size
+            quo_counts[j] = cur - prev
+            prev = cur
+            if cur * size == n:
+                break
+        quo_type = type_from_counts(quo_counts, n // size)
+        pairs.add((sub_type, quo_type))
+    return frozenset(pairs)
+
+
+def _exact_log(value, p):
+    e = 0
+    while value % p == 0:
+        value //= p
+        e += 1
+    if value != 1:
+        raise ArithmeticError(f"expected a power of {p}")
+    return e

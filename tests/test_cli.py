@@ -51,6 +51,25 @@ def test_ext_check_oracle_skipped_beyond_bound(capsys):
     assert json.loads(get_output(capsys)) == {"criterion": True, "oracle": None}
 
 
+def test_ext_check_homocyclic_witness(capsys):
+    # the largest p-part the default --oracle-bound admits, with 55,989
+    # subgroups
+    code = run(["ext", "--check", "Z/4^5", "Z/4^2 x Z/2", "Z/4^2 x Z/2"])
+    assert code == 0
+    assert get_output(capsys) == "criterion: true\noracle: true"
+
+
+def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
+    # Z/2^10 fits the default --oracle-bound but has 229,755,605 subgroups:
+    # the oracle stops at MAX_SUBGROUPS instead of hanging
+    start = time.perf_counter()
+    code = run(["ext", "--check", "Z/2^10", "Z/2^5", "Z/2^5"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert get_output(capsys) == "criterion: true\noracle: skipped"
+    assert elapsed < 60, f"took {elapsed:.1f} s"
+
+
 def test_ext_wrong_arity(capsys):
     assert run(["ext", "Z/2"]) == 64
     assert run(["ext", "--check", "Z/2", "Z/2"]) == 64

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from abext import extensions
 from abext.extensions import (GroupSet, ResourceLimitError,
-                              brute_force_is_extension, extension_set,
-                              is_extension, set_extension, set_product,
-                              subgroup_quotient_types)
+                              _subgroup_masks, brute_force_is_extension,
+                              extension_set, is_extension, set_extension,
+                              set_product, subgroup_quotient_types)
 from abext.groups import AbelianGroup, TRIVIAL, parse_group
 from abext.partitions import componentwise_sum
 
-from oracles import (all_abelian_groups_upto, partitions_of, partitions_upto,
+from oracles import (all_abelian_groups_upto, naive_subgroup_quotient_types,
+                     naive_subgroups, partitions_of, partitions_upto,
                      random_group)
 
 
@@ -142,6 +144,43 @@ def test_subgroup_quotient_types_klein():
     # Z/2 x Z/2: three subgroups of order 2, quotient always Z/2
     assert subgroup_quotient_types(2, (1, 1)) == frozenset({
         ((), (1, 1)), ((1,), (1,)), ((1, 1), ())})
+
+
+def test_subgroup_masks_of_elementary_2_groups():
+    # the number of subspaces of GF(2)^n, each visited once
+    for n, count in enumerate([1, 2, 5, 16, 67, 374, 2825, 29212]):
+        masks = list(_subgroup_masks(2, (1,) * n))
+        assert len(masks) == count
+        assert len(set(masks)) == count
+
+
+def _p_types(bounds):
+    for p, bound in bounds.items():
+        n = 0
+        while p ** n <= bound:
+            for parts in partitions_of(n):
+                yield p, parts
+            n += 1
+
+
+@pytest.mark.parametrize("p, parts",
+                         list(_p_types({2: 64, 3: 81, 5: 125, 7: 49})),
+                         ids=str)
+def test_subgroup_enumeration_matches_breadth_first_search(p, parts):
+    masks = list(_subgroup_masks(p, parts))
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == naive_subgroups(p, parts)
+    assert subgroup_quotient_types(p, parts) == \
+        naive_subgroup_quotient_types(p, parts)
+
+
+def test_subgroup_enumeration_stops_at_the_cap(monkeypatch):
+    # (Z/2)^3 has 16 subgroups
+    monkeypatch.setattr(extensions, "MAX_SUBGROUPS", 16)
+    assert len(list(_subgroup_masks(2, (1, 1, 1)))) == 16
+    monkeypatch.setattr(extensions, "MAX_SUBGROUPS", 15)
+    with pytest.raises(ResourceLimitError, match="more than 15 subgroups"):
+        list(_subgroup_masks(2, (1, 1, 1)))
 
 
 def test_oracle_agreement_small():

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from abext.extensions import GroupSet, extension_set
+from abext.extensions import (GroupSet, brute_force_is_extension,
+                              extension_set)
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
                             enumerate_family, family_contains)
 from abext.groups import TRIVIAL, parse_group
@@ -248,6 +249,21 @@ def test_witnesses_are_recheckable():
         assert not family_contains(g, PA4P)
         for h, k in report.witness_sources[g]:
             assert g in extension_set(h, k)
+
+
+def test_witnesses_pass_independent_checks():
+    # thm-main's witness at the element level, the product witnesses as
+    # direct products of their source pairs
+    report = CLAIMS["thm-main"](32)
+    assert [str(g) for g in report.witnesses] == ["Z/4^5"]
+    for g in report.witnesses:
+        for h, k in report.witness_sources[g]:
+            assert brute_force_is_extension(g, h, k)
+    report = CLAIMS["prop-product-types"](32)
+    assert {str(g) for g in report.witnesses} == {"Z/3^6", "Z/4^4 x Z/2^2"}
+    for g in report.witnesses:
+        for h, k in report.witness_sources[g]:
+            assert h.direct_product(k) == g
 
 
 def _claim_in_child(claim_id, bound):
