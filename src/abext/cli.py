@@ -29,7 +29,7 @@ from .families import (TABLES, enumerate_family, family_contains, get_family,
                        render_pattern)
 from .groups import AbelianGroup
 from .lr import lr_coefficient, lr_expand
-from .partitions import format_partition, parse_partition, sort_key
+from .partitions import format_partition, parse_partition
 from .verify import CLAIMS, DEFAULT_BOUND
 
 
@@ -122,8 +122,7 @@ class _Output(NamedTuple):
 def _cmd_lr_expand(args) -> _Output:
     lam = parse_partition(args.lam)
     nu = parse_partition(args.nu)
-    expansion = sorted(lr_expand(lam, nu).items(),
-                       key=lambda item: sort_key(item[0]))
+    expansion = lr_expand(lam, nu).items()
     return _Output(
         [{"partition": list(mu), "multiplicity": c} for mu, c in expansion],
         "\n".join(f"{format_partition(mu)} {c}" for mu, c in expansion))

@@ -22,7 +22,7 @@ import itertools
 import operator
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ResourceLimitError
 from .groups import AbelianGroup
@@ -35,41 +35,19 @@ DEFAULT_ORACLE_BOUND = 1024
 MAX_SUBGROUPS = 10 ** 6
 
 
-class GroupSet:
-    """Immutable set of groups, iterated by ascending order then name."""
+class GroupSet(frozenset):
+    """Immutable set of groups, iterated by ascending order then name.
 
-    __slots__ = ("_members",)
+    A frozenset in all else: its length, membership, equality, hashing and
+    set algebra never call __iter__, so only loops pay for the sort.  Set
+    operators and union() return plain frozensets; wrap what a function
+    returns in GroupSet to keep the order.
+    """
 
-    def __init__(self, groups: Iterable[AbelianGroup] = ()):
-        self._members = frozenset(groups)
+    __slots__ = ()
 
     def __iter__(self) -> Iterator[AbelianGroup]:
-        return iter(sorted(self._members, key=AbelianGroup.sort_key))
-
-    @property
-    def members(self) -> frozenset[AbelianGroup]:
-        """The groups, unordered; iterating this skips the sort."""
-        return self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, group) -> bool:
-        return group in self._members
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __le__(self, other: "GroupSet") -> bool:
-        return self._members <= other._members
+        return iter(sorted(super().__iter__(), key=AbelianGroup.sort_key))
 
     def __repr__(self) -> str:
         return "GroupSet({%s})" % ", ".join(str(g) for g in self)
@@ -98,18 +76,15 @@ def set_product(a: GroupSet, b: GroupSet) -> GroupSet:
     """Pairwise direct products of two nonempty group sets."""
     if not a or not b:
         raise ValueError("set_product requires nonempty sets")
-    return GroupSet(h.direct_product(k) for h in a.members for k in b.members)
+    return GroupSet(h.direct_product(k) for h, k in itertools.product(a, b))
 
 
 def set_extension(a: GroupSet, b: GroupSet) -> GroupSet:
     """Union of extension sets over all pairs from two nonempty sets."""
     if not a or not b:
         raise ValueError("set_extension requires nonempty sets")
-    out: frozenset[AbelianGroup] = frozenset()
-    for h in a.members:
-        for k in b.members:
-            out |= extension_set(h, k).members
-    return GroupSet(out)
+    return GroupSet(frozenset().union(
+        *(extension_set(h, k) for h, k in itertools.product(a, b))))
 
 
 def brute_force_is_extension(g: AbelianGroup, h: AbelianGroup,

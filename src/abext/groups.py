@@ -18,7 +18,8 @@ integers, so they never overflow.
 
 Factoring divides by trial up to TRIAL_DIVISION_LIMIT and accepts a
 larger leftover cofactor only when is_prime proves it prime; otherwise it
-raises ResourceLimitError.
+raises ResourceLimitError.  So does a group string whose factors split
+into more than MAX_FACTORS cyclic factors of prime-power order.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ _SEPARATOR_RE = re.compile(r"[x*×]")
 # Largest trial divisor factorize tries.
 TRIAL_DIVISION_LIMIT = 10 ** 6
 _TRIAL_SQUARE = TRIAL_DIVISION_LIMIT ** 2
+# Most cyclic factors of prime-power order a group string may expand to.
+MAX_FACTORS = 10 ** 6
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -153,7 +156,8 @@ class AbelianGroup:
         s = "".join(text.split())
         if not s:
             raise GroupSyntaxError("empty group string")
-        orders = []
+        types: dict[int, list[int]] = {}
+        factors = 0
         for token in _SEPARATOR_RE.split(s):
             if token == "1":
                 continue
@@ -166,8 +170,15 @@ class AbelianGroup:
                 raise GroupSyntaxError("Z/0 is not a finite group")
             if rep == 0:
                 raise GroupSyntaxError("repetition exponent must be >= 1")
-            orders.extend([n] * rep)
-        return cls.from_factors(orders)
+            powers = factorize(n)
+            factors += rep * len(powers)
+            if factors > MAX_FACTORS:
+                raise ResourceLimitError(
+                    f"group string has more than {MAX_FACTORS} cyclic "
+                    f"factors of prime-power order")
+            for p, e in powers.items():
+                types.setdefault(p, []).extend([e] * rep)
+        return cls(types)
 
     @classmethod
     def from_json(cls, obj) -> "AbelianGroup":

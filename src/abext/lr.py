@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .partitions import Partition, contains, size, sort_key
+from .partitions import Partition, contains, size
 
 # Deepest recursion the searches may start: below the interpreter's default
 # recursion limit of 1000, with room for the frames of the caller (the CLI,
@@ -49,20 +49,21 @@ def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
 
 
 def lr_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
-    """All mu with positive coefficient in lam . nu, with multiplicities."""
+    """All mu with positive coefficient in lam . nu, with multiplicities,
+    in partitions.sort_key order."""
     return dict(_expansion_items(lam, nu))
 
 
 @lru_cache(maxsize=None)
 def _expansion_items(lam, nu):
-    items = [(mu, c) for mu in _candidates(lam, nu)
-             if (c := _count_fillings(lam, nu, mu, False))]
-    items.sort(key=lambda item: sort_key(item[0]))
-    return tuple(items)
+    return tuple((mu, c) for mu in _candidates(lam, nu)
+                 if (c := _count_fillings(lam, nu, mu, False)))
 
 
 def _candidates(lam, nu):
-    """Partitions of |lam| + |nu| containing lam inside the support box."""
+    """Partitions of |lam| + |nu| containing lam inside the support box,
+    largest part first at each row: descending lexicographic order, which
+    is sort_key order since all have one size."""
     total = size(lam) + size(nu)
     max_len = len(lam) + len(nu)
     top = (lam[0] if lam else 0) + (nu[0] if nu else 0)

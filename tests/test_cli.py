@@ -152,6 +152,17 @@ def test_resource_limit_exit_code(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_group_string_factor_limit(capsys):
+    # the repetition exponent is checked before any factor list is built
+    start = time.perf_counter()
+    assert run(["member", "Z/2^100000000000000000000", "--family", "A1"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("abext: resource limit: ") and "factors" in err
+    assert run(["member", "Z/2^1000", "--family", "A1"]) == 0
+    assert get_output(capsys) == "false"
+
+
 def test_member_with_large_prime_factor(capsys):
     start = time.perf_counter()
     assert run(["member", "Z/2305843009213693951", "--family", "A1"]) == 0

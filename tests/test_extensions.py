@@ -8,8 +8,10 @@ from abext.extensions import (GroupSet, ResourceLimitError,
                               _subgroup_masks, brute_force_is_extension,
                               extension_set, is_extension, set_extension,
                               set_product, subgroup_quotient_types)
+from abext.families import A1, enumerate_family
 from abext.groups import AbelianGroup, TRIVIAL, parse_group
 from abext.partitions import componentwise_sum
+from abext.verify import CLAIMS
 
 from oracles import (all_abelian_groups_upto, naive_subgroup_quotient_types,
                      naive_subgroups, partitions_of, partitions_upto,
@@ -210,7 +212,7 @@ def test_extension_set_matches_oracle_on_p_groups():
                 h, k = AbelianGroup({p: lam}), AbelianGroup({p: nu})
                 expected = {g for g in candidates
                             if brute_force_is_extension(g, h, k)}
-                assert extension_set(h, k).members == expected, (h, k)
+                assert extension_set(h, k) == expected, (h, k)
 
 
 def test_extension_set_matches_oracle_on_mixed_primes():
@@ -224,7 +226,7 @@ def test_extension_set_matches_oracle_on_mixed_primes():
         expected = {g for g in universe
                     if g.order() == h.order() * k.order()
                     and brute_force_is_extension(g, h, k)}
-        assert extension_set(h, k).members == expected, (h, k)
+        assert extension_set(h, k) == expected, (h, k)
 
 
 def test_oracle_agreement_mixed_primes():
@@ -262,3 +264,20 @@ def test_group_set_iteration_order():
     assert [str(g) for g in s] == ["1", "Z/6", "Z/2^3", "Z/8"]
     assert len(s) == 4
     assert parse_group("Z/6") in s
+
+
+def test_group_set_results_keep_their_type_and_order():
+    # set operators return plain frozensets, so each public function must
+    # wrap its result to iterate in order
+    results = [
+        extension_set(parse_group("Z/4 x Z/2"), parse_group("Z/6")),
+        set_product(gs("Z/4", "Z/3"), gs("Z/2", "Z/9")),
+        set_extension(gs("Z/4", "Z/3"), gs("Z/2", "Z/9")),
+        enumerate_family(A1, 64),
+        CLAIMS["prop-product-types"](32).witnesses,
+    ]
+    for result in results:
+        assert type(result) is GroupSet
+        assert len(result) > 1
+        assert list(result) == sorted(frozenset(result),
+                                      key=AbelianGroup.sort_key)

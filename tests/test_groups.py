@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abext import groups
 from abext.errors import ResourceLimitError
 from abext.groups import (MILLER_RABIN_BOUND, TRIAL_DIVISION_LIMIT,
                           AbelianGroup, GroupSyntaxError, TRIVIAL, factorize,
@@ -41,6 +42,14 @@ def test_format_examples():
     assert format_group(AbelianGroup({2: (1, 1), 3: (1, 1, 1, 1)})) == \
         "Z/6^2 x Z/3^2"
     assert format_group(parse_group("Z/6^3 x Z/2")) == "Z/6^3 x Z/2"
+
+
+def test_parse_counts_prime_power_factors(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_FACTORS", 4)
+    assert parse_group("Z/6^2 x Z/1^9").prime_types() == {2: (1, 1),
+                                                          3: (1, 1)}
+    with pytest.raises(ResourceLimitError):
+        parse_group("Z/6^2 x Z/5")
 
 
 def test_p_part():

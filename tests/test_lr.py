@@ -1,7 +1,8 @@
 from math import comb
 
 from abext.lr import lr_coefficient, lr_expand, lr_positive
-from abext.partitions import componentwise_sum, contains, size, union_merge
+from abext.partitions import (componentwise_sum, contains, size, sort_key,
+                              union_merge)
 
 from oracles import (horizontal_strip_expand, naive_lr, partitions_of,
                      partitions_upto, syt_count)
@@ -26,6 +27,14 @@ def test_positivity_examples():
     assert not lr_positive((1, 1), (2, 2, 2, 2), (3, 3, 3))
     for nu in [(), (3,), (2, 1), (4, 2, 2)]:
         assert lr_positive((), nu, nu)
+
+
+def test_expansions_come_in_sort_key_order():
+    small = list(partitions_upto(6))
+    for lam in small:
+        for nu in small:
+            shapes = list(lr_expand(lam, nu))
+            assert shapes == sorted(shapes, key=sort_key), (lam, nu)
 
 
 def test_empty_product():

@@ -128,7 +128,7 @@ def test_closure_search_matches_window_search():
         for k in enumerate_family(sweep.right, bound):
             if not (family_contains(h, sweep.target)
                     and family_contains(k, sweep.target)):
-                reached |= extension_set(h, k).members
+                reached |= extension_set(h, k)
     assert len(reached) > 100
     for g in reached:
         # extension_set(g, TRIVIAL) is {g}
