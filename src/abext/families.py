@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -256,25 +257,17 @@ def render_pattern(pat: FamilyPattern,
     """
     pieces = []
     constraints = []
-    next_letter = 0
-    i = 0
-    slots = pat.slots
-    while i < len(slots):
-        slot = slots[i]
+    for slot, run in groupby(pat.slots):
+        rep = len(list(run))
         if slot.scale is None:
-            j = i
-            while j < len(slots) and slots[j] == slot:
-                j += 1
-            rep = j - i
             pieces.append(f"Z/{slot.modulus}" + (f"^{rep}" if rep > 1 else ""))
-            i = j
             continue
-        letter = letters[next_letter]
-        next_letter += 1
-        prefix = str(slot.scale) if slot.scale > 1 else ""
-        pieces.append(f"Z/{prefix}{letter}")
-        constraints.append(f"{letter} >= 1")
-        i += 1
+        # every parameterized slot gets a letter of its own
+        for _ in range(rep):
+            letter = letters[len(constraints)]
+            prefix = str(slot.scale) if slot.scale > 1 else ""
+            pieces.append(f"Z/{prefix}{letter}")
+            constraints.append(f"{letter} >= 1")
     return " x ".join(pieces), tuple(constraints)
 
 

@@ -25,26 +25,28 @@ or when the sweep is empty.  Otherwise the claim passes.
 
 Claim ids: prop-ext-low, thm-main, prop-product-types, thm-second,
 regressions.  The regression claim replays reference Young-diagram
-products: nine fully concrete expansions plus twelve parameterized ones,
-instantiated at the three smallest legal values of every parameter
-(symbolic terms whose entries stop being weakly decreasing at small
-parameters are dropped before comparison).
+products: nine concrete ones and twelve parameterized ones.  Each case is
+a function of its parameters that returns (lam, nu, reference), and runs
+at every value 1, 2, 3 of each parameter that makes lam and nu partitions.
+Ten references list the exact support, without the terms that stop being
+partitions at small parameters; two list the shapes every term must fit.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from operator import and_
+from operator import and_, ge
 
 from .extensions import GroupSet
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        enumerate_family, family_product, row_mask)
 from .groups import AbelianGroup
 from .lr import lr_expand, lr_positive
-from .partitions import Partition, union_merge
+from .partitions import Partition, make_partition, union_merge
 
 DEFAULT_BOUND = 64
 
@@ -207,9 +209,13 @@ def _reach(family: Family, p: int, mu: Partition) -> int:
 
 def _subdiagrams(outer: Partition) -> tuple[Partition, ...]:
     """Every partition whose Young diagram lies inside outer, () included."""
-    rows = itertools.product(*(range(cap, -1, -1) for cap in outer))
-    return tuple(tuple(x for x in row if x) for row in rows
-                 if all(x >= y for x, y in zip(row, row[1:])))
+    found, level = [()], [()]
+    for cap in outer:
+        # each new row is at most the row above it and at most its cap
+        level = [d + (x,) for d in level
+                 for x in range(min((cap, *d[-1:])), 0, -1)]
+        found += level
+    return tuple(found)
 
 
 _A1xA1 = family_product(A1, A1, "A1xA1")
@@ -244,174 +250,94 @@ CLAIM_TABLE = (
 
 # --- reference expansion vectors ---------------------------------------
 
-def _p(*parts) -> Partition:
-    return tuple(parts)
+# Each case maps its parameters to (lam, nu, reference).  An exact case's
+# reference lists the support of lam * nu; terms that are not partitions at
+# small parameters are dropped.  A shape case's reference lists templates
+# (lower bounds, tail): a term fits when its leading rows are at least the
+# bounds and the rest are exactly the tail.
 
-
-_CONCRETE_PRODUCTS = (
-    (_p(2, 1), _p(1, 1), (
-        _p(3, 2), _p(3, 1, 1), _p(2, 2, 1), _p(2, 1, 1, 1))),
-    (_p(2, 2, 1), _p(2, 2, 1), (
-        _p(4, 4, 2), _p(4, 4, 1, 1), _p(4, 3, 3), _p(4, 3, 2, 1),
-        _p(4, 3, 1, 1, 1), _p(4, 2, 2, 2), _p(4, 2, 2, 1, 1),
-        _p(3, 3, 3, 1), _p(3, 3, 2, 2), _p(3, 3, 2, 1, 1),
-        _p(3, 3, 1, 1, 1, 1), _p(3, 2, 2, 2, 1), _p(3, 2, 2, 1, 1, 1),
-        _p(2, 2, 2, 2, 2), _p(2, 2, 2, 2, 1, 1))),
-    (_p(2, 2, 1), _p(1, 1, 1, 1), (
-        _p(3, 3, 2, 1), _p(3, 3, 1, 1, 1), _p(3, 2, 2, 1, 1),
-        _p(3, 2, 1, 1, 1, 1), _p(2, 2, 2, 1, 1, 1), _p(2, 2, 1, 1, 1, 1, 1))),
-    (_p(1, 1, 1), _p(1, 1, 1), (
-        _p(2, 2, 2), _p(2, 2, 1, 1), _p(2, 1, 1, 1, 1), _p(1, 1, 1, 1, 1, 1))),
-    (_p(1, 1, 1, 1), _p(1, 1, 1, 1), (
-        _p(2, 2, 2, 2), _p(2, 2, 2, 1, 1), _p(2, 2, 1, 1, 1, 1),
-        _p(2, 1, 1, 1, 1, 1, 1), _p(1, 1, 1, 1, 1, 1, 1, 1))),
-    (_p(1, 1), _p(2, 2, 2, 2), (
-        _p(3, 3, 2, 2), _p(3, 2, 2, 2, 1), _p(2, 2, 2, 2, 1, 1))),
-    (_p(1, 1), _p(3, 3, 2, 1), (
-        _p(4, 4, 2, 1), _p(4, 3, 3, 1), _p(4, 3, 2, 2), _p(4, 3, 2, 1, 1),
-        _p(3, 3, 3, 2), _p(3, 3, 3, 1, 1), _p(3, 3, 2, 2, 1),
-        _p(3, 3, 2, 1, 1, 1))),
-    (_p(1, 1), _p(1, 1), (_p(2, 2), _p(2, 1, 1), _p(1, 1, 1, 1))),
-    (_p(1, 1), _p(1, 1, 1, 1), (
-        _p(2, 2, 1, 1), _p(2, 1, 1, 1, 1), _p(1, 1, 1, 1, 1, 1))),
-)
-
-
-@dataclass(frozen=True)
-class _SymbolicCase:
-    """Product whose expansion is a fixed list of parameterized terms."""
-
-    case_id: str
-    lam: tuple
-    nu: tuple
-    terms: tuple[tuple, ...]
-    params: tuple[str, ...]
-    ordered: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class _ShapeCase:
-    """Product whose expansion is covered by shape templates: fixed tails
-    behind a prefix of entries with lower bounds only."""
-
-    case_id: str
-    lam: tuple
-    nu: tuple
-    templates: tuple[tuple[tuple, tuple[int, ...]], ...]
-    params: tuple[str, ...]
-    ordered: tuple[tuple[str, str], ...] = ()
-
-
-_SYMBOLIC_CASES = (
-    _SymbolicCase(
-        "[a,b]*[2,2,1]",
-        ("a", "b"), (2, 2, 1),
-        (("a+2", "b+2", 1), ("a+2", "b+1", 2), ("a+2", "b+1", 1, 1),
-         ("a+2", "b", 2, 1), ("a+1", "b+2", 2), ("a+1", "b+2", 1, 1),
-         ("a+1", "b+1", 2, 1), ("a+1", "b+1", 1, 1, 1), ("a+1", "b", 2, 2),
-         ("a+1", "b", 2, 1, 1), ("a", "b+2", 2, 1), ("a", "b+1", 2, 2),
-         ("a", "b+1", 2, 1, 1), ("a", "b", 2, 2, 1)),
-        ("a", "b"), (("a", "b"),)),
-    _SymbolicCase(
-        "[a,b]*[1,1,1]",
-        ("a", "b"), (1, 1, 1),
-        (("a+1", "b+1", 1), ("a+1", "b", 1, 1), ("a", "b+1", 1, 1),
-         ("a", "b", 1, 1, 1)),
-        ("a", "b"), (("a", "b"),)),
-    _SymbolicCase(
-        "[a,b]*[1,1,1,1]",
-        ("a", "b"), (1, 1, 1, 1),
-        (("a+1", "b+1", 1, 1), ("a+1", "b", 1, 1, 1), ("a", "b+1", 1, 1, 1),
-         ("a", "b", 1, 1, 1, 1)),
-        ("a", "b"), (("a", "b"),)),
-    _SymbolicCase(
-        "[a+1,1,1]*[2,2,1]",
-        ("a+1", 1, 1), (2, 2, 1),
-        (("a+3", 3, 2), ("a+3", 3, 1, 1), ("a+3", 2, 2, 1),
-         ("a+3", 2, 1, 1, 1), ("a+2", 3, 3), ("a+2", 3, 2, 1),
-         ("a+2", 3, 1, 1, 1), ("a+2", 2, 2, 2), ("a+2", 2, 2, 1, 1),
-         ("a+2", 2, 1, 1, 1, 1), ("a+1", 3, 3, 1), ("a+1", 3, 2, 2),
-         ("a+1", 3, 2, 1, 1), ("a+1", 2, 2, 2, 1), ("a+1", 2, 2, 1, 1, 1)),
-        ("a",)),
-    _SymbolicCase(
-        "[a]*[1,1,1]",
-        ("a",), (1, 1, 1),
-        (("a+1", 1, 1), ("a", 1, 1, 1)),
-        ("a",)),
-    _SymbolicCase(
-        "[a+1,1,1]*[1,1,1,1]",
-        ("a+1", 1, 1), (1, 1, 1, 1),
-        (("a+2", 2, 2, 1), ("a+2", 2, 1, 1, 1), ("a+2", 1, 1, 1, 1, 1),
-         ("a+1", 2, 2, 1, 1), ("a+1", 2, 1, 1, 1, 1),
-         ("a+1", 1, 1, 1, 1, 1, 1)),
-        ("a",)),
-    _SymbolicCase(
-        "[a]*[2,2,2,2]",
-        ("a",), (2, 2, 2, 2),
-        (("a+2", 2, 2, 2), ("a+1", 2, 2, 2, 1), ("a", 2, 2, 2, 2)),
-        ("a",)),
-    _SymbolicCase(
-        "[a]*[3,3,2,1]",
-        ("a",), (3, 3, 2, 1),
-        (("a+3", 3, 2, 1), ("a+2", 3, 3, 1), ("a+2", 3, 2, 2),
-         ("a+2", 3, 2, 1, 1), ("a+1", 3, 3, 2), ("a+1", 3, 3, 1, 1),
-         ("a+1", 3, 2, 2, 1), ("a", 3, 3, 2, 1)),
-        ("a",)),
-    _SymbolicCase(
-        "[a]*[1,1,1,1]@p3",
-        ("a",), (1, 1, 1, 1),
-        (("a+1", 1, 1, 1), ("a", 1, 1, 1, 1)),
-        ("a",)),
-    _SymbolicCase(
-        "[a]*[1,1,1,1]@p2",
-        ("a",), (1, 1, 1, 1),
-        (("a+1", 1, 1, 1), ("a", 1, 1, 1, 1)),
-        ("a",)),
+_EXACT_CASES = (
+    ("[2,1]*[1,1]", lambda: ((2, 1), (1, 1), [
+        (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)])),
+    ("[2,2,1]*[2,2,1]", lambda: ((2, 2, 1), (2, 2, 1), [
+        (4, 4, 2), (4, 4, 1, 1), (4, 3, 3), (4, 3, 2, 1), (4, 3, 1, 1, 1),
+        (4, 2, 2, 2), (4, 2, 2, 1, 1), (3, 3, 3, 1), (3, 3, 2, 2),
+        (3, 3, 2, 1, 1), (3, 3, 1, 1, 1, 1), (3, 2, 2, 2, 1),
+        (3, 2, 2, 1, 1, 1), (2, 2, 2, 2, 2), (2, 2, 2, 2, 1, 1)])),
+    ("[2,2,1]*[1,1,1,1]", lambda: ((2, 2, 1), (1, 1, 1, 1), [
+        (3, 3, 2, 1), (3, 3, 1, 1, 1), (3, 2, 2, 1, 1), (3, 2, 1, 1, 1, 1),
+        (2, 2, 2, 1, 1, 1), (2, 2, 1, 1, 1, 1, 1)])),
+    ("[1,1,1]*[1,1,1]", lambda: ((1, 1, 1), (1, 1, 1), [
+        (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])),
+    ("[1,1,1,1]*[1,1,1,1]", lambda: ((1, 1, 1, 1), (1, 1, 1, 1), [
+        (2, 2, 2, 2), (2, 2, 2, 1, 1), (2, 2, 1, 1, 1, 1),
+        (2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 1)])),
+    ("[1,1]*[2,2,2,2]", lambda: ((1, 1), (2, 2, 2, 2), [
+        (3, 3, 2, 2), (3, 2, 2, 2, 1), (2, 2, 2, 2, 1, 1)])),
+    ("[1,1]*[3,3,2,1]", lambda: ((1, 1), (3, 3, 2, 1), [
+        (4, 4, 2, 1), (4, 3, 3, 1), (4, 3, 2, 2), (4, 3, 2, 1, 1),
+        (3, 3, 3, 2), (3, 3, 3, 1, 1), (3, 3, 2, 2, 1), (3, 3, 2, 1, 1, 1)])),
+    ("[1,1]*[1,1]", lambda: ((1, 1), (1, 1), [
+        (2, 2), (2, 1, 1), (1, 1, 1, 1)])),
+    ("[1,1]*[1,1,1,1]", lambda: ((1, 1), (1, 1, 1, 1), [
+        (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])),
+    ("[a,b]*[2,2,1]", lambda a, b: ((a, b), (2, 2, 1), [
+        (a + 2, b + 2, 1), (a + 2, b + 1, 2), (a + 2, b + 1, 1, 1),
+        (a + 2, b, 2, 1), (a + 1, b + 2, 2), (a + 1, b + 2, 1, 1),
+        (a + 1, b + 1, 2, 1), (a + 1, b + 1, 1, 1, 1), (a + 1, b, 2, 2),
+        (a + 1, b, 2, 1, 1), (a, b + 2, 2, 1), (a, b + 1, 2, 2),
+        (a, b + 1, 2, 1, 1), (a, b, 2, 2, 1)])),
+    ("[a,b]*[1,1,1]", lambda a, b: ((a, b), (1, 1, 1), [
+        (a + 1, b + 1, 1), (a + 1, b, 1, 1), (a, b + 1, 1, 1),
+        (a, b, 1, 1, 1)])),
+    ("[a,b]*[1,1,1,1]", lambda a, b: ((a, b), (1, 1, 1, 1), [
+        (a + 1, b + 1, 1, 1), (a + 1, b, 1, 1, 1), (a, b + 1, 1, 1, 1),
+        (a, b, 1, 1, 1, 1)])),
+    ("[a+1,1,1]*[2,2,1]", lambda a: ((a + 1, 1, 1), (2, 2, 1), [
+        (a + 3, 3, 2), (a + 3, 3, 1, 1), (a + 3, 2, 2, 1), (a + 3, 2, 1, 1, 1),
+        (a + 2, 3, 3), (a + 2, 3, 2, 1), (a + 2, 3, 1, 1, 1), (a + 2, 2, 2, 2),
+        (a + 2, 2, 2, 1, 1), (a + 2, 2, 1, 1, 1, 1), (a + 1, 3, 3, 1),
+        (a + 1, 3, 2, 2), (a + 1, 3, 2, 1, 1), (a + 1, 2, 2, 2, 1),
+        (a + 1, 2, 2, 1, 1, 1)])),
+    ("[a]*[1,1,1]", lambda a: ((a,), (1, 1, 1), [
+        (a + 1, 1, 1), (a, 1, 1, 1)])),
+    ("[a+1,1,1]*[1,1,1,1]", lambda a: ((a + 1, 1, 1), (1, 1, 1, 1), [
+        (a + 2, 2, 2, 1), (a + 2, 2, 1, 1, 1), (a + 2, 1, 1, 1, 1, 1),
+        (a + 1, 2, 2, 1, 1), (a + 1, 2, 1, 1, 1, 1),
+        (a + 1, 1, 1, 1, 1, 1, 1)])),
+    ("[a]*[2,2,2,2]", lambda a: ((a,), (2, 2, 2, 2), [
+        (a + 2, 2, 2, 2), (a + 1, 2, 2, 2, 1), (a, 2, 2, 2, 2)])),
+    ("[a]*[3,3,2,1]", lambda a: ((a,), (3, 3, 2, 1), [
+        (a + 3, 3, 2, 1), (a + 2, 3, 3, 1), (a + 2, 3, 2, 2),
+        (a + 2, 3, 2, 1, 1), (a + 1, 3, 3, 2), (a + 1, 3, 3, 1, 1),
+        (a + 1, 3, 2, 2, 1), (a, 3, 3, 2, 1)])),
+    ("[a]*[1,1,1,1]@p3", lambda a: ((a,), (1, 1, 1, 1), [
+        (a + 1, 1, 1, 1), (a, 1, 1, 1, 1)])),
+    ("[a]*[1,1,1,1]@p2", lambda a: ((a,), (1, 1, 1, 1), [
+        (a + 1, 1, 1, 1), (a, 1, 1, 1, 1)])),
 )
 
 _SHAPE_CASES = (
-    _ShapeCase(
-        "[a,b]*[c+1,1,1]",
-        ("a", "b"), ("c+1", 1, 1),
-        ((("a", "b", 1), ()),
-         (("a", "b", 1), (1,)),
-         (("a", "b", 1), (1, 1))),
-        ("a", "b", "c"), (("a", "b"),)),
-    _ShapeCase(
-        "[a+1,1,1]*[c+1,1,1]",
-        ("a+1", 1, 1), ("c+1", 1, 1),
-        ((("c+1", 1), (1, 1, 1, 1)),
-         (("c+1", 1), (1, 1, 1)),
-         (("c+1", 1), (1, 1)),
-         (("c+1", 1), (2,)),
-         (("c+1", 1), (2, 1, 1)),
-         (("c+1", 1), (2, 1)),
-         (("c+1", 1), (2, 2))),
-        ("a", "c")),
+    ("[a,b]*[c+1,1,1]", lambda a, b, c: ((a, b), (c + 1, 1, 1), [
+        ((a, b, 1), ()), ((a, b, 1), (1,)), ((a, b, 1), (1, 1))])),
+    ("[a+1,1,1]*[c+1,1,1]", lambda a, c: ((a + 1, 1, 1), (c + 1, 1, 1), [
+        ((c + 1, 1), (1, 1, 1, 1)), ((c + 1, 1), (1, 1, 1)),
+        ((c + 1, 1), (1, 1)), ((c + 1, 1), (2,)), ((c + 1, 1), (2, 1, 1)),
+        ((c + 1, 1), (2, 1)), ((c + 1, 1), (2, 2))])),
 )
 
 
-def _eval_entry(entry, env) -> int:
-    if isinstance(entry, int):
-        return entry
-    name, _, offset = entry.partition("+")
-    return env[name] + (int(offset) if offset else 0)
-
-
-def _instantiate_term(term, env) -> Partition | None:
-    vec = [_eval_entry(e, env) for e in term]
-    if any(x < 0 for x in vec):
-        return None
-    if any(vec[i] < vec[i + 1] for i in range(len(vec) - 1)):
-        return None
-    return tuple(x for x in vec if x)
-
-
-def _assignments(params, ordered):
-    for values in itertools.product((1, 2, 3), repeat=len(params)):
-        env = dict(zip(params, values))
-        if all(env[big] >= env[small] for big, small in ordered):
-            yield env
+def _runs(table):
+    """(label, lam, nu, reference) for each case of table at every value 1,
+    2, 3 of its parameters that makes lam and nu partitions."""
+    for case_id, case in table:
+        names = inspect.signature(case).parameters
+        for values in itertools.product((1, 2, 3), repeat=len(names)):
+            lam, nu, reference = case(*values)
+            if make_partition(lam) == lam and make_partition(nu) == nu:
+                env = dict(zip(names, values))
+                label = f"{case_id} at {env}" if env else case_id
+                yield label, lam, nu, reference
 
 
 def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
@@ -423,41 +349,20 @@ def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
     start = time.perf_counter()
     checked = 0
     failures = []
-    for lam, nu, expected in _CONCRETE_PRODUCTS:
+    for label, lam, nu, terms in _runs(_EXACT_CASES):
         checked += 1
-        actual = frozenset(lr_expand(lam, nu))
-        if actual != frozenset(expected):
-            failures.append(f"[{','.join(map(str, lam))}]*"
-                            f"[{','.join(map(str, nu))}]: support mismatch")
-    for case in _SYMBOLIC_CASES:
-        for env in _assignments(case.params, case.ordered):
-            checked += 1
-            lam = _instantiate_term(case.lam, env)
-            nu = _instantiate_term(case.nu, env)
-            expected_set = {t for term in case.terms
-                            if (t := _instantiate_term(term, env)) is not None}
-            if frozenset(lr_expand(lam, nu)) != expected_set:
-                failures.append(f"{case.case_id} at {env}: support mismatch")
-    for case in _SHAPE_CASES:
-        for env in _assignments(case.params, case.ordered):
-            checked += 1
-            lam = _instantiate_term(case.lam, env)
-            nu = _instantiate_term(case.nu, env)
-            for mu in lr_expand(lam, nu):
-                if not any(_matches_template(mu, bounds, tail, env)
-                           for bounds, tail in case.templates):
-                    failures.append(f"{case.case_id} at {env}: "
-                                    f"{mu} outside the stated shapes")
+        expected = {t for t in terms if make_partition(t) == t}
+        if frozenset(lr_expand(lam, nu)) != expected:
+            failures.append(f"{label}: support mismatch")
+    for label, lam, nu, templates in _runs(_SHAPE_CASES):
+        checked += 1
+        for mu in lr_expand(lam, nu):
+            if not any(len(mu) == len(low) + len(tail)
+                       and mu[len(low):] == tail and all(map(ge, mu, low))
+                       for low, tail in templates):
+                failures.append(f"{label}: {mu} outside the stated shapes")
     return _finalize("regressions", bound, checked, {}, {}, start,
                      details=failures)
-
-
-def _matches_template(mu, bounds, tail, env) -> bool:
-    if len(mu) != len(bounds) + len(tail):
-        return False
-    if tail and mu[len(bounds):] != tail:
-        return False
-    return all(mu[i] >= _eval_entry(b, env) for i, b in enumerate(bounds))
 
 
 CLAIMS = {claim.claim_id: partial(run_claim, claim) for claim in CLAIM_TABLE}

@@ -238,3 +238,5 @@ def test_render_pattern():
     text, cons = render_pattern(B3P.patterns[8])
     assert text == "Z/8^2 x Z/4 x Z/2"
     assert cons == ()
+    with pytest.raises(IndexError):
+        render_pattern(PA4P.patterns[0])

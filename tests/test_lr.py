@@ -105,17 +105,31 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
 
 
 def test_reference_products_against_independent_oracles():
-    # the frozen expansion vectors re-derived two other ways: full
+    # every run of the regression cases re-derived two other ways: full
     # permutation counting (in the orientation with fewer skew cells) and
-    # the hook length identity
-    from abext.verify import _CONCRETE_PRODUCTS
-    for lam, nu, expected in _CONCRETE_PRODUCTS:
-        expansion = lr_expand(lam, nu)
-        assert set(expansion) == set(expected)
-        inner, content = (lam, nu) if size(nu) <= size(lam) else (nu, lam)
-        for mu in partitions_of(size(lam) + size(nu)):
-            assert expansion.get(mu, 0) == naive_lr(inner, content, mu), \
-                (lam, nu, mu)
-        n = size(lam) + size(nu)
-        lhs = sum(c * syt_count(mu) for mu, c in expansion.items())
-        assert lhs == syt_count(lam) * syt_count(nu) * comb(n, size(lam))
+    # the hook length identity.  An exact run's reference, without its
+    # terms that are not partitions, is the support; every term of a shape
+    # run fits one of its (lower bounds, tail) templates.
+    from abext.verify import _EXACT_CASES, _SHAPE_CASES, _runs
+    runs = 0
+    for exact, table in ((True, _EXACT_CASES), (False, _SHAPE_CASES)):
+        for label, lam, nu, reference in _runs(table):
+            runs += 1
+            n = size(lam) + size(nu)
+            inner, content = (lam, nu) if size(nu) <= size(lam) else (nu, lam)
+            naive = {mu: c for mu in partitions_of(n)
+                     if (c := naive_lr(inner, content, mu))}
+            assert lr_expand(lam, nu) == naive, label
+            lhs = sum(c * syt_count(mu) for mu, c in naive.items())
+            assert lhs == syt_count(lam) * syt_count(nu) * comb(n, size(lam))
+            if exact:
+                assert set(naive) == {
+                    t for t in reference
+                    if list(t) == sorted(t, reverse=True) and 0 not in t}, label
+                continue
+            for mu in naive:
+                assert any(len(mu) == len(low) + len(tail)
+                           and mu[len(low):] == tail
+                           and all(m >= b for m, b in zip(mu, low))
+                           for low, tail in reference), (label, mu)
+    assert runs == 75

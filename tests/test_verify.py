@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -10,11 +11,13 @@ from abext.extensions import (GroupSet, brute_force_is_extension,
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
                             enumerate_family, family_contains)
 from abext.groups import TRIVIAL, parse_group
+from abext.partitions import contains
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
-                          _outside, regression_expansions, run_claim)
+                          _outside, _subdiagrams, regression_expansions,
+                          run_claim)
 
 from oracles import (all_abelian_groups_upto, naive_extends_two,
-                     naive_run_claim)
+                     naive_run_claim, partitions_of, partitions_upto)
 
 
 def test_prop_ext_low_passes():
@@ -190,12 +193,27 @@ def test_regressions_pass():
 
 
 def test_regression_case_count():
-    from abext.verify import _CONCRETE_PRODUCTS, _SHAPE_CASES, _SYMBOLIC_CASES
-    assert len(_CONCRETE_PRODUCTS) == 9
-    assert len(_SYMBOLIC_CASES) + len(_SHAPE_CASES) == 12
-    from abext.verify import _assignments
-    for case in _SYMBOLIC_CASES + _SHAPE_CASES:
-        assert len(list(_assignments(case.params, case.ordered))) >= 3
+    from abext.verify import _EXACT_CASES, _SHAPE_CASES, _runs
+    cases = _EXACT_CASES + _SHAPE_CASES
+    assert len({case_id for case_id, _ in cases}) == len(cases)
+    runs = {case_id: len(list(_runs([(case_id, case)])))
+            for case_id, case in cases}
+    params = {case_id: len(inspect.signature(case).parameters)
+              for case_id, case in cases}
+    assert [runs[c] for c in runs if not params[c]] == [1] * 9
+    parameterized = [runs[c] for c in runs if params[c]]
+    assert len(parameterized) == 12
+    assert min(parameterized) >= 3
+    assert sum(runs.values()) == 75
+
+
+def test_subdiagrams_are_the_contained_partitions():
+    for n in range(11):
+        smaller = list(partitions_upto(n))
+        for mu in partitions_of(n):
+            subs = _subdiagrams(mu)
+            assert len(set(subs)) == len(subs), mu
+            assert set(subs) == {lam for lam in smaller if contains(mu, lam)}
 
 
 def test_sporadic_extension_example():
