@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from . import __version__
 from .extensions import (DEFAULT_ORACLE_BOUND, ResourceLimitError,
@@ -94,8 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("group")
     p.add_argument("--family", required=True)
 
+    # an explicit usage keeps its line break on every Python version
     p = sub.add_parser("enumerate", parents=[common],
-                       help="family members up to an order bound")
+                       help="family members up to an order bound",
+                       usage="%(prog)s [-h] [--format {text,json}] [--out FILE]"
+                             " --family\n                       FAMILY"
+                             " [--bound BOUND]")
     p.add_argument("--family", required=True)
     p.add_argument("--bound", type=_positive, default=DEFAULT_BOUND)
 
@@ -110,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Output(NamedTuple):
+@dataclass(frozen=True)
+class _Output:
     """What a command produced; run() writes one form of it."""
 
     payload: object                 # printed by --format json

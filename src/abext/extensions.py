@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterator
 from functools import lru_cache
 from math import prod
-from typing import Iterator
 
 from .errors import ResourceLimitError
 from .groups import AbelianGroup

@@ -29,10 +29,10 @@ from them at import time, and B2xB2 is A2xA2 itself (B2 = A2).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
-from typing import Iterable
 
 from .errors import ResourceLimitError
 from .extensions import GroupSet

@@ -25,8 +25,8 @@ into more than MAX_FACTORS cyclic factors of prime-power order.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from math import prod
-from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError
 from .partitions import Partition, make_partition, union_merge
@@ -42,7 +42,6 @@ _SEPARATOR_RE = re.compile(r"[x*×]")
 
 # Largest trial divisor factorize tries.
 TRIAL_DIVISION_LIMIT = 10 ** 6
-_TRIAL_SQUARE = TRIAL_DIVISION_LIMIT ** 2
 # Most cyclic factors of prime-power order a group string may expand to.
 MAX_FACTORS = 10 ** 6
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -52,23 +51,12 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: trial division below TRIAL_DIVISION_LIMIT squared,
-    deterministic Miller-Rabin above it.  Raises ResourceLimitError from
-    MILLER_RABIN_BOUND on, where the fixed bases no longer decide."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if n >= _TRIAL_SQUARE:
-        return _miller_rabin(n)
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Exact primality by deterministic Miller-Rabin.  Raises
+    ResourceLimitError for odd n from MILLER_RABIN_BOUND on, where the
+    fixed bases no longer decide."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return n in _MR_BASES or _miller_rabin(n)
 
 
 def _miller_rabin(n: int) -> bool:

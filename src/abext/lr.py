@@ -70,6 +70,7 @@ def _candidates(lam, nu):
     if max_len > MAX_DEPTH:
         raise ResourceLimitError(
             f"shapes of {max_len} rows exceed the LR depth limit {MAX_DEPTH}")
+    _check_cells(size(nu))
     out = []
     prefix = []
 
@@ -92,6 +93,12 @@ def _candidates(lam, nu):
     return out
 
 
+def _check_cells(n):
+    if n > MAX_DEPTH:
+        raise ResourceLimitError(
+            f"fillings of {n} cells exceed the LR depth limit {MAX_DEPTH}")
+
+
 def _count_fillings(lam, nu, mu, first_only):
     if size(mu) != size(lam) + size(nu):
         return 0
@@ -99,21 +106,21 @@ def _count_fillings(lam, nu, mu, first_only):
         return 0
     if len(mu) > len(lam) + len(nu):
         return 0
+    # a filling has one cell per box of nu: check before anything is built
+    _check_cells(size(nu))
+    if not nu:
+        return 1
 
     nrows = len(mu)
     lam_pad = lam + (0,) * (nrows - len(lam))
-    cells = [(r, c) for r in range(nrows)
-             for c in range(mu[r] - 1, lam_pad[r] - 1, -1)]
-    if not cells:
-        return 1
-    if len(cells) > MAX_DEPTH:
-        raise ResourceLimitError(
-            f"fillings of {len(cells)} cells exceed the LR depth limit "
-            f"{MAX_DEPTH}")
-
     k = len(nu)
+    # row r holds its skew cells, columns lam_pad[r] .. mu[r] - 1, then k,
+    # the bound from the right; up indexes the same column of the row above
+    grid = [[0] * (mu[r] - lam_pad[r]) + [k] for r in range(nrows)]
+    cells = [(r, j, j + lam_pad[r] - lam_pad[r - 1] if r else -1)
+             for r in range(nrows)
+             for j in range(mu[r] - lam_pad[r] - 1, -1, -1)]
     counts = [0] * (k + 1)
-    grid = [[0] * mu[r] for r in range(nrows)]
     total = 0
 
     def fill(i):
@@ -121,21 +128,21 @@ def _count_fillings(lam, nu, mu, first_only):
         if i == len(cells):
             total += 1
             return first_only
-        r, c = cells[i]
-        hi = grid[r][c + 1] if c + 1 < mu[r] else k
+        r, j, up = cells[i]
+        row = grid[r]
         # the cell above constrains only when it lies in the skew shape
-        lo = grid[r - 1][c] + 1 if r and c >= lam_pad[r - 1] else 1
-        for v in range(lo, hi + 1):
+        lo = grid[r - 1][up] + 1 if up >= 0 else 1
+        for v in range(lo, row[j + 1] + 1):
             if counts[v] >= nu[v - 1]:
                 continue
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue
             counts[v] += 1
-            grid[r][c] = v
+            row[j] = v
             if fill(i + 1):
                 return True
             counts[v] -= 1
-        grid[r][c] = 0
+        row[j] = 0
         return False
 
     fill(0)

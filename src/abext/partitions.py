@@ -8,8 +8,8 @@ as types of finite abelian p-groups: Z/p^a1 x ... x Z/p^ar has type
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import zip_longest
-from typing import Iterable
 
 Partition = tuple[int, ...]
 

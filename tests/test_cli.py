@@ -152,6 +152,28 @@ def test_resource_limit_exit_code(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lr-expand", "[1]", "[100000000]"],
+    ["lr-coeff", "[]", "[100000000]", "[100000000]"],
+])
+def test_lr_filling_size_checked_before_allocation(capsys, argv):
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == ("abext: resource limit: fillings of 100000000 cells "
+                   "exceed the LR depth limit 900\n")
+
+
+def test_lr_huge_entries_with_small_filling(capsys):
+    big = 10 ** 20
+    assert run(["lr-coeff", f"[{big - 1}]", "[1]", f"[{big}]"]) == 0
+    assert get_output(capsys) == "1"
+    assert run(["lr-expand", f"[{big - 1}]", "[1]"]) == 0
+    assert get_output(capsys).splitlines() == [f"[{big}] 1",
+                                               f"[{big - 1},1] 1"]
+
+
 def test_group_string_factor_limit(capsys):
     # the repetition exponent is checked before any factor list is built
     start = time.perf_counter()

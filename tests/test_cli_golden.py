@@ -29,6 +29,9 @@ CASES = [
     ["lr-coeff", "[2,1]", "[2,1]", "[3,2,1]", "--format", "json"],
     ["lr-coeff", "[2,1]", "[1]", "[5]"],
     ["lr-coeff", "[1500]", "[1500]", "[1500,1500]"],
+    ["lr-coeff", "[99999999999999999999]", "[1]", "[100000000000000000000]"],
+    ["lr-expand", "[99999999999999999999]", "[1]"],
+    ["lr-expand", "[1]", "[100000000]"],
     ["ext", "Z/4 x Z/2", "Z/2^2"],
     ["ext", "Z/4 x Z/2", "Z/2^2", "--format", "json"],
     ["ext", "1", "1"],

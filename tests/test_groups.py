@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
 
 import pytest
@@ -126,6 +129,35 @@ def test_miller_rabin_agrees_with_trial_division():
     for n in range(start, start + 200, 2):
         trial = all(n % f for f in range(3, isqrt(n) + 1, 2))
         assert is_prime(n) == trial, n
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 2 * 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [m for m in range(n) if is_prime(m)] == \
+        [m for m in range(n) if sieve[m]]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to the first k prime bases, k = 1 .. 12
+    strong = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461]
+    carmichael = [561, 1105, 1729, 41041, 825265]
+    for n in strong + carmichael + [41 ** 2, 43 ** 2]:
+        assert not is_prime(n), n
+    assert all(is_prime(a) for a in groups._MR_BASES)
+
+
+def test_import_loads_no_typing():
+    code = "import abext, abext.cli, sys; print('typing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_factorize_beyond_trial_division_limit():
