@@ -253,6 +253,3 @@ def run(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     sys.exit(run())
 
-
-if __name__ == "__main__":
-    entrypoint()

@@ -17,8 +17,9 @@ a FamilyPattern compiles these demands, and admits checks them at one p.
 
 A family's rows are its patterns, then its exceptional groups lifted to
 fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
-that admit the p-type parts, and a group is a member exactly when the AND
-of its masks over its primes and the rows' primes is nonzero.
+that admit the p-type parts.  A group is a member exactly when the AND of
+its masks over its primes and the rows' primes is nonzero, and
+enumerate_family lists the group types of the window that pass this test.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -29,19 +30,20 @@ from them at import time, and B2xB2 is A2xA2 itself (B2 = A2).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import groupby, product
 
 from .errors import ResourceLimitError
 from .extensions import GroupSet
 from .groups import AbelianGroup, factorize
 from .partitions import Partition
 
-_KINDS = ("free", "even", "triple", "fixed")
+_SCALES = {"free": 1, "even": 2, "triple": 3}
+_KINDS = (*_SCALES, "fixed")
 
-# Most instantiations enumerate_family builds before it gives up.
+# Most group types enumerate_family visits before it gives up.
 MAX_ENUMERATION = 1_000_000
 
 
@@ -63,7 +65,7 @@ class Slot:
     @property
     def scale(self) -> int | None:
         """Order step of Z/k, Z/2k, Z/3k (1, 2, 3); None for a fixed slot."""
-        return {"free": 1, "even": 2, "triple": 3}.get(self.kind)
+        return _SCALES.get(self.kind)
 
 
 FREE = Slot("free")
@@ -159,9 +161,14 @@ def row_mask(family: Family, p: int, parts: Partition) -> int:
 
 def family_contains(group: AbelianGroup, family: Family) -> bool:
     """True when the group matches some pattern or is exceptional."""
+    return _admits(family, group.prime_types())
+
+
+def _admits(family: Family, types: dict[int, Partition]) -> bool:
+    """True when row_mask ANDs to nonzero over types' and rows' primes."""
     mask = (1 << len(family.rows)) - 1
-    for p in {*group.primes, *family.primes}:
-        mask &= row_mask(family, p, group.p_part(p))
+    for p in types.keys() | family.primes:
+        mask &= row_mask(family, p, types.get(p, ()))
     return mask != 0
 
 
@@ -170,18 +177,13 @@ def family_product(f1: Family, f2: Family, name: str | None = None) -> Family:
 
     Exceptional members are first lifted to fixed-slot patterns so the
     result is purely pattern-based.  Patterns are deduplicated only by
-    syntactic equality after canonical slot sorting; redundant patterns do
-    not affect membership.
+    syntactic equality after canonical slot sorting, in first-seen order
+    (row_mask bits index rows); redundant patterns do not affect membership.
     """
-    seen = set()
-    out = []
-    for p1 in f1.rows:
-        for p2 in f2.rows:
-            combined = tuple(sorted(p1.slots + p2.slots, key=_slot_key))
-            if combined not in seen:
-                seen.add(combined)
-                out.append(FamilyPattern(combined))
-    return Family(name or f"{f1.name}x{f2.name}", tuple(out))
+    combined = dict.fromkeys(tuple(sorted(p1.slots + p2.slots, key=_slot_key))
+                             for p1 in f1.rows for p2 in f2.rows)
+    return Family(name or f"{f1.name}x{f2.name}",
+                  tuple(FamilyPattern(slots) for slots in combined))
 
 
 def _lift(group: AbelianGroup) -> FamilyPattern:
@@ -195,57 +197,53 @@ def _slot_key(slot: Slot):
 
 
 def enumerate_family(family: Family, order_bound: int) -> GroupSet:
-    """Every member with order at most order_bound.
-
-    Free parameters sweep all values keeping the order within the bound.
-    Raises ResourceLimitError past MAX_ENUMERATION instantiations.
+    """Every member with order at most order_bound: each group type of the
+    window that the family admits.  Raises ResourceLimitError past
+    MAX_ENUMERATION types, at once for a larger bound (every order has one).
     """
     if order_bound < 1:
         raise ValueError("order bound must be >= 1")
-    budget = [MAX_ENUMERATION]
     found: set[AbelianGroup] = set()
-    for row in family.rows:
-        _instantiate(row.slots, order_bound, [], found, budget)
+    for visited, types in enumerate(_group_types(order_bound), start=1):
+        if max(visited, order_bound) > MAX_ENUMERATION:
+            raise ResourceLimitError(
+                f"family enumeration exceeded the limit of {MAX_ENUMERATION} "
+                f"group types")
+        if _admits(family, types):
+            found.add(AbelianGroup(types))
     return GroupSet(found)
 
 
-def _instantiate(slots, remaining, orders, found, budget):
-    if not slots:
-        if budget[0] <= 0:
-            raise ResourceLimitError(
-                f"family enumeration exceeded the limit of {MAX_ENUMERATION} "
-                f"instantiations")
-        budget[0] -= 1
-        found.add(AbelianGroup.from_factors(orders))
-        return
-    slot, rest = slots[0], slots[1:]
-    for n in _slot_orders(slot, remaining):
-        orders.append(n)
-        _instantiate(rest, remaining // n, orders, found, budget)
-        orders.pop()
+def _group_types(bound: int) -> Iterator[dict[int, Partition]]:
+    """Every group type of order 1 .. bound, as {prime: partition}."""
+    # every exponent e in the window has 2 ** e <= bound
+    partitions = [_partitions(e) for e in range(bound.bit_length())]
+    for n in range(1, bound + 1):
+        powers = factorize(n)
+        for combo in product(*(partitions[e] for e in powers.values())):
+            yield dict(zip(powers, combo))
 
 
-def _slot_orders(slot: Slot, limit: int) -> Iterable[int]:
-    if slot.scale is None:
-        return (slot.modulus,) if slot.modulus <= limit else ()
-    return range(slot.scale, limit + 1, slot.scale)
+def _partitions(n: int, top: int | None = None) -> list[Partition]:
+    """Partitions of n with parts at most top, largest part first."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(n, top or n), 0, -1)
+            for rest in _partitions(n - first, first)]
 
 
 def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGroup:
     """Concrete member from one parameter value per non-fixed slot."""
     values = list(values)
-    orders = []
-    for slot in pat.slots:
-        if slot.scale is None:
-            orders.append(slot.modulus)
-            continue
-        k = values.pop(0)
-        if k < 1:
-            raise ValueError("parameters must be >= 1")
-        orders.append(slot.scale * k)
-    if values:
-        raise ValueError("too many parameter values")
-    return AbelianGroup.from_factors(orders)
+    if len(values) != pat.params:
+        raise ValueError(f"the pattern takes {pat.params} parameter values, "
+                         f"got {len(values)}")
+    if any(k < 1 for k in values):
+        raise ValueError("parameters must be >= 1")
+    it = iter(values)
+    return AbelianGroup.from_factors(
+        slot.modulus if slot.scale is None else slot.scale * next(it)
+        for slot in pat.slots)
 
 
 def render_pattern(pat: FamilyPattern,

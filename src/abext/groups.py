@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from itertools import groupby
 from math import prod
 
 from .errors import ResourceLimitError
@@ -223,19 +224,12 @@ class AbelianGroup:
         if not self._types:
             return "1"
         width = max(len(parts) for _, parts in self._types)
-        factors = []
-        for i in range(width):
-            f = prod(p ** parts[i] for p, parts in self._types if i < len(parts))
-            factors.append(f)
+        factors = [prod(p ** parts[i] for p, parts in self._types
+                        if i < len(parts)) for i in range(width)]
         pieces = []
-        i = 0
-        while i < len(factors):
-            j = i
-            while j < len(factors) and factors[j] == factors[i]:
-                j += 1
-            rep = j - i
-            pieces.append(f"Z/{factors[i]}" + (f"^{rep}" if rep > 1 else ""))
-            i = j
+        for f, run in groupby(factors):
+            rep = len(list(run))
+            pieces.append(f"Z/{f}" + (f"^{rep}" if rep > 1 else ""))
         return " x ".join(pieces)
 
     def __repr__(self) -> str:

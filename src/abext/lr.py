@@ -12,7 +12,8 @@ A product lam . nu is expanded by iterating candidate shapes mu of size
 |lam| + |nu| inside the bounding box (len(lam) + len(nu) rows, lam[0] +
 nu[0] columns) that contain lam, keeping those with positive coefficient.
 Expansions and positivity answers are memoized; a lone coefficient is
-computed fresh.  Arguments must be canonical partitions.
+computed fresh.  Arguments must be canonical partitions: any other tuple
+raises ValueError, checked only when the answer is not memoized.
 
 Both searches recurse, one Python frame per row of a candidate shape and
 one per cell of a filling.  Inputs that would need more than MAX_DEPTH
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .partitions import Partition, contains, size
+from .partitions import Partition, contains, make_partition, size
 
 # Deepest recursion the searches may start: below the interpreter's default
 # recursion limit of 1000, with room for the frames of the caller (the CLI,
@@ -35,6 +36,7 @@ MAX_DEPTH = 900
 
 def lr_coefficient(lam: Partition, nu: Partition, mu: Partition) -> int:
     """Multiplicity of mu in lam . nu; 0 when the shapes are incompatible."""
+    _check_partitions(lam, nu, mu)
     return _count_fillings(lam, nu, mu, False)
 
 
@@ -45,6 +47,7 @@ def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
     For p-group types this is exactly the condition for a group of type mu
     to be an extension of a group of type nu by a group of type lam.
     """
+    _check_partitions(lam, nu, mu)
     return _count_fillings(lam, nu, mu, True) > 0
 
 
@@ -56,8 +59,15 @@ def lr_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _expansion_items(lam, nu):
+    _check_partitions(lam, nu)
     return tuple((mu, c) for mu in _candidates(lam, nu)
                  if (c := _count_fillings(lam, nu, mu, False)))
+
+
+def _check_partitions(*shapes):
+    for shape in shapes:
+        if make_partition(shape) != shape:
+            raise ValueError(f"{shape} is not a partition")
 
 
 def _candidates(lam, nu):

@@ -8,6 +8,8 @@ the order.  The extension closure of a family is searched, as the
 package once did, through a window of family members paired by
 complementary order, and naive_run_claim sweeps a claim as the package
 once did, building every result group and testing it with those two.
+Both list a family's members by filtering every abelian group of the window
+with the brute-force pattern search, not by the package's enumeration.
 naive_subgroup_quotient_types is the element-level oracle as the package
 once ran it: a breadth-first search over an addition table that meets each
 subgroup many times and keeps a set of those already seen.
@@ -22,7 +24,8 @@ from math import factorial
 
 from abext import AbelianGroup, make_partition
 from abext.extensions import extension_set, is_extension
-from abext.families import Family, FamilyPattern, enumerate_family
+from abext.families import Family, FamilyPattern
+from abext.groups import factorize
 from abext.partitions import conjugate
 
 
@@ -146,9 +149,17 @@ def naive_matches(group: AbelianGroup, pattern: FamilyPattern) -> bool:
 
 
 @lru_cache(maxsize=None)
+def naive_members(family: Family, bound: int) -> tuple:
+    """Every member of order at most bound, by filtering every abelian group
+    of the window with naive_member."""
+    return tuple(g for g in all_abelian_groups_upto(bound)
+                 if naive_member(g, family))
+
+
+@lru_cache(maxsize=None)
 def _window_by_order(family: Family, order_limit: int) -> dict:
     buckets: dict[int, list[AbelianGroup]] = {}
-    for g in enumerate_family(family, order_limit):
+    for g in naive_members(family, order_limit):
         buckets.setdefault(g.order(), []).append(g)
     return buckets
 
@@ -182,8 +193,8 @@ def naive_run_claim(claim, bound):
     witnesses = {}
     for sweep in claim.sweeps:
         target = sweep.target
-        for h in enumerate_family(sweep.left, bound):
-            for k in enumerate_family(sweep.right, bound):
+        for h in naive_members(sweep.left, bound):
+            for k in naive_members(sweep.right, bound):
                 checked += 1
                 if sweep.step == "product":
                     results = [h.direct_product(k)]
@@ -205,7 +216,6 @@ def naive_run_claim(claim, bound):
 def all_abelian_groups_upto(bound):
     """Every finite abelian group of order at most bound, via all type
     combinations over the prime factorization of each order."""
-    from abext.groups import factorize
     for n in range(1, bound + 1):
         per_prime = [[(p, t) for t in partitions_of(e)]
                      for p, e in factorize(n).items()]

@@ -55,6 +55,9 @@ CASES = [
     ["enumerate", "--family", "PA4p", "--bound", "32", "--format", "json"],
     ["enumerate", "--family", "A2", "--bound", "1"],
     ["enumerate", "--family", "A1", "--bound", "0"],
+    *(["enumerate", "--family", name, "--bound", "64", "--format", "json"]
+      for name in ("A1", "A2", "A3p", "B3p", "PA4p", "PB4p", "A2xA2",
+                   "A1xA3p", "B1xB3p", "B2xB2")),
     ["tables"],
     ["tables", "--format", "json"],
     ["verify", "thm-main", "--bound", "32"],

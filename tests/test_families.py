@@ -15,7 +15,7 @@ from abext.families import (A1, A1xA3P, A2, A2xA2, A3P, B1xB3P, B3P, PA4P,
                             render_pattern)
 from abext.groups import TRIVIAL, parse_group
 
-from oracles import all_abelian_groups_upto, naive_matches
+from oracles import all_abelian_groups_upto, naive_matches, naive_member
 
 
 def test_slot_validation():
@@ -219,13 +219,27 @@ def test_family_contains_agrees_with_naive_search():
 
 
 def test_enumeration_matches_membership_on_universe():
-    # bounded enumeration and the pattern matcher must agree on every
+    # bounded enumeration and the brute-force matcher must agree on every
     # abelian group in the window
-    for family in (A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B1xB3P):
+    sporadic = Family("S", (), GroupSet([parse_group("Z/4^2 x Z/2")]))
+    empty = Family("E", ())
+    for family in (A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B1xB3P,
+                   sporadic, empty):
         members = enumerate_family(family, 48)
         for g in all_abelian_groups_upto(48):
-            assert (g in members) == family_contains(g, family), \
+            assert (g in members) == naive_member(g, family), \
                 (family.name, str(g))
+
+
+def test_instantiate_pattern_checks_its_values():
+    pat = FamilyPattern((FREE, EVEN, fixed(3)))
+    assert str(instantiate_pattern(pat, [5, 2])) == "Z/60"
+    with pytest.raises(ValueError, match="takes 2 parameter values, got 1"):
+        instantiate_pattern(pat, [2])
+    with pytest.raises(ValueError, match="takes 2 parameter values, got 3"):
+        instantiate_pattern(pat, [1, 2, 3])
+    with pytest.raises(ValueError, match="parameters must be >= 1"):
+        instantiate_pattern(pat, [1, 0])
 
 
 def test_render_pattern():

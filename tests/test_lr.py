@@ -1,5 +1,7 @@
 from math import comb
 
+import pytest
+
 from abext.lr import lr_coefficient, lr_expand, lr_positive
 from abext.partitions import (componentwise_sum, contains, size, sort_key,
                               union_merge)
@@ -102,6 +104,19 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     assert lr_coefficient((3,), (1,), (2, 1, 1)) == 0
     assert lr_coefficient((3,), (1,), (5,)) == 0
     assert lr_coefficient((1,), (1,), (1, 1, 1)) == 0
+
+
+@pytest.mark.parametrize("call, args", [
+    (lr_expand, ((1, 2), (2, 2, 1))),
+    (lr_positive, ((0, 1), (1,), (1, 1))),
+    (lr_coefficient, ((1, 3), (1,), (2, 3))),
+    (lr_expand, ((2,), (1, -1))),
+    (lr_coefficient, ((2,), (-1,), (1,))),
+], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
+        "negative-coefficient"])
+def test_entry_points_reject_non_partitions(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
 
 
 def test_reference_products_against_independent_oracles():
