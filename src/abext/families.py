@@ -203,12 +203,14 @@ def enumerate_family(family: Family, order_bound: int) -> GroupSet:
     """
     if order_bound < 1:
         raise ValueError("order bound must be >= 1")
+    limit = ResourceLimitError(f"family enumeration exceeded the limit of "
+                               f"{MAX_ENUMERATION} group types")
+    if order_bound > MAX_ENUMERATION:
+        raise limit
     found: set[AbelianGroup] = set()
     for visited, types in enumerate(_group_types(order_bound), start=1):
-        if max(visited, order_bound) > MAX_ENUMERATION:
-            raise ResourceLimitError(
-                f"family enumeration exceeded the limit of {MAX_ENUMERATION} "
-                f"group types")
+        if visited > MAX_ENUMERATION:
+            raise limit
         if _admits(family, types):
             found.add(AbelianGroup(types))
     return GroupSet(found)
@@ -216,14 +218,13 @@ def enumerate_family(family: Family, order_bound: int) -> GroupSet:
 
 def _group_types(bound: int) -> Iterator[dict[int, Partition]]:
     """Every group type of order 1 .. bound, as {prime: partition}."""
-    # every exponent e in the window has 2 ** e <= bound
-    partitions = [_partitions(e) for e in range(bound.bit_length())]
     for n in range(1, bound + 1):
         powers = factorize(n)
-        for combo in product(*(partitions[e] for e in powers.values())):
+        for combo in product(*map(_partitions, powers.values())):
             yield dict(zip(powers, combo))
 
 
+@lru_cache(maxsize=None)
 def _partitions(n: int, top: int | None = None) -> list[Partition]:
     """Partitions of n with parts at most top, largest part first."""
     if n == 0:

@@ -12,8 +12,8 @@ A product lam . nu is expanded by iterating candidate shapes mu of size
 |lam| + |nu| inside the bounding box (len(lam) + len(nu) rows, lam[0] +
 nu[0] columns) that contain lam, keeping those with positive coefficient.
 Expansions and positivity answers are memoized; a lone coefficient is
-computed fresh.  Arguments must be canonical partitions: any other tuple
-raises ValueError, checked only when the answer is not memoized.
+computed fresh.  Arguments must be canonical partition tuples; any other
+tuple or a list is refused, checked only when the answer is not memoized.
 
 Both searches recurse, one Python frame per row of a candidate shape and
 one per cell of a filling.  Inputs that would need more than MAX_DEPTH
@@ -67,7 +67,7 @@ def _expansion_items(lam, nu):
 def _check_partitions(*shapes):
     for shape in shapes:
         if make_partition(shape) != shape:
-            raise ValueError(f"{shape} is not a partition")
+            raise ValueError(f"{shape!r} is not a partition tuple")
 
 
 def _candidates(lam, nu):

@@ -198,11 +198,16 @@ def test_enumerate(capsys):
         "1", "Z/2", "Z/3", "Z/2^2", "Z/4", "Z/5", "Z/6", "Z/7", "Z/8"]
 
 
-def test_enumerate_bound_past_limit_exits_at_once(capsys):
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "A1", "--bound", "2000000"],
+    ["enumerate", "--family", "A1", "--bound", str(10 ** 30)],
+    ["verify", "thm-main", "--bound", str(10 ** 30)],
+], ids=["enumerate", "enumerate-huge", "verify-huge"])
+def test_bound_past_limit_exits_at_once(capsys, argv):
     # every order has at least one group type, so a bound above
     # MAX_ENUMERATION cannot end inside the limit and is refused unwalked
     start = time.perf_counter()
-    assert run(["enumerate", "--family", "A1", "--bound", "2000000"]) == 3
+    assert run(argv) == 3
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
         "abext: resource limit: family enumeration exceeded the limit of "

@@ -112,8 +112,9 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     (lr_coefficient, ((1, 3), (1,), (2, 3))),
     (lr_expand, ((2,), (1, -1))),
     (lr_coefficient, ((2,), (-1,), (1,))),
+    (lr_coefficient, ([2, 1], (1,), (3, 1))),
 ], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
-        "negative-coefficient"])
+        "negative-coefficient", "list"])
 def test_entry_points_reject_non_partitions(call, args):
     with pytest.raises(ValueError):
         call(*args)
