@@ -13,7 +13,11 @@ target family.  There are three step kinds:
 
 _outside decides all three per prime, by bitmasks over the target's rows
 (row_mask) or, for closure, over pairs of rows (_reach, whose docstring
-argues that it is exact), grouped once per (p, h_p, k_p) by _options.
+argues that it is exact).  Each (step, target) has one table (_table),
+keyed by plain (p, h_p, k_p) tuples, that groups each key's masks once.
+run_claim ANDs each pair's shared masks from it inside the loop and calls
+_outside only when the AND is 0.  A closure pair of two target members is
+skipped, since its extensions are extensions of those two, but counted.
 No test uses a truncated enumeration, so a pass verifies the claim
 restricted to pairs within the window.
 
@@ -43,7 +47,8 @@ from operator import and_, ge
 
 from .extensions import GroupSet
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
-                       enumerate_family, family_product, row_mask)
+                       enumerate_family, family_contains, family_product,
+                       row_mask)
 from .groups import AbelianGroup
 from .lr import lr_expand, lr_positive
 from .partitions import Partition, make_partition, union_merge
@@ -130,7 +135,11 @@ class Claim:
 
 
 def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Run every sweep of claim inside the window and judge the witnesses."""
+    """Run every sweep of claim inside the window and judge the witnesses.
+
+    Each pair ANDs its shared masks from the sweep's table over the primes,
+    and only a pair whose AND is 0 goes on to _outside.
+    """
     start = time.perf_counter()
     members: dict = {}
     witnesses: dict = {}
@@ -141,11 +150,24 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
                 # a plain list: GroupSet iteration sorts on every pass
                 members[family] = [(g, g.prime_types())
                                    for g in enumerate_family(family, bound)]
+        step, target = sweep.step, sweep.target
+        table = _table(step, target)
+        right = members[sweep.right]
+        if step == "closure":
+            # extensions of two target members are never witnesses
+            rest = [(k, kt) for k, kt in right
+                    if not family_contains(k, target)]
         for h, ht in members[sweep.left]:
-            for k, kt in members[sweep.right]:
-                checked += 1
-                for g in _outside(sweep.step, ht, kt, sweep.target):
-                    witnesses.setdefault(g, set()).add((h, k))
+            checked += len(right)
+            inside = step == "closure" and family_contains(h, target)
+            primes = ht.keys() | target.primes
+            for k, kt in rest if inside else right:
+                mask = table.full
+                for p in primes | kt.keys():
+                    mask &= table[p, ht.get(p, ()), kt.get(p, ())][0]
+                if not mask:
+                    for g in _outside(step, ht, kt, target):
+                        witnesses.setdefault(g, set()).add((h, k))
     return _finalize(claim.claim_id, bound, checked, witnesses,
                      claim.expected, start)
 
@@ -153,33 +175,51 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
 def _outside(step: str, ht: dict, kt: dict,
              target: Family) -> list[AbelianGroup]:
     """The results of step on (h, k), given by their prime types, that fail
-    the target test: those whose masks (_options) AND to 0 over the primes.
+    the target test: those whose masks (_Options) AND to 0 over the primes.
     None can when the masks shared within each prime leave a bit set.
     """
-    n = len(target.rows)
-    full = (1 << (n * n if step == "closure" else n)) - 1
+    table = _table(step, target)
     primes = tuple(ht.keys() | kt.keys() | target.primes)
-    per_prime = [_options(step, target, p, ht.get(p, ()), kt.get(p, ()))
-                 for p in primes]
-    if reduce(and_, (shared for shared, _ in per_prime), full):
+    per_prime = [table[p, ht.get(p, ()), kt.get(p, ())] for p in primes]
+    if reduce(and_, (shared for shared, _ in per_prime), table.full):
         return []
     return [AbelianGroup(dict(zip(primes, types)))
             for combo in itertools.product(*(by for _, by in per_prime))
-            if not reduce(and_, (m for m, _ in combo), full)
+            if not reduce(and_, (m for m, _ in combo), table.full)
             for types in itertools.product(*(mus for _, mus in combo))]
 
 
+class _Options(dict):
+    """(p, a, b) -> (shared, groups) for one step into one target, filled on
+    first lookup: groups pairs each mask (row_mask, or _reach for closure)
+    with the candidate p-types that have it (union_merge for a product,
+    lr_expand otherwise), and shared is the AND of the masks.  Its keys hold
+    no Family, so a lookup hashes only ints and partitions.  full has a bit
+    for every row (every row pair for closure).
+    """
+
+    def __init__(self, step: str, target: Family):
+        super().__init__()
+        self.step, self.target = step, target
+        n = len(target.rows)
+        self.full = (1 << (n * n if step == "closure" else n)) - 1
+
+    def __missing__(self, key: tuple[int, Partition, Partition]):
+        p, a, b = key
+        mask_of = _reach if self.step == "closure" else row_mask
+        by_mask: dict[int, list[Partition]] = {}
+        mus = ((union_merge(a, b),) if self.step == "product"
+               else lr_expand(a, b))
+        for mu in mus:
+            by_mask.setdefault(mask_of(self.target, p, mu), []).append(mu)
+        self[key] = entry = (reduce(and_, by_mask, -1), tuple(by_mask.items()))
+        return entry
+
+
 @lru_cache(maxsize=None)
-def _options(step: str, target: Family, p: int, a: Partition, b: Partition):
-    """(shared, groups) for step on the p-types a and b: groups pairs each
-    mask (row_mask, or _reach for closure) with the candidate p-types that
-    have it (union_merge for a product, lr_expand otherwise), and shared is
-    the AND of the masks."""
-    mask_of = _reach if step == "closure" else row_mask
-    by_mask: dict[int, list[Partition]] = {}
-    for mu in (union_merge(a, b),) if step == "product" else lr_expand(a, b):
-        by_mask.setdefault(mask_of(target, p, mu), []).append(mu)
-    return reduce(and_, by_mask, -1), tuple(by_mask.items())
+def _table(step: str, target: Family) -> _Options:
+    """The one table of step into target that every sweep shares."""
+    return _Options(step, target)
 
 
 @lru_cache(maxsize=None)

@@ -199,13 +199,14 @@ def test_enumerate(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "A1", "--bound", "438640"],
     ["enumerate", "--family", "A1", "--bound", "2000000"],
     ["enumerate", "--family", "A1", "--bound", str(10 ** 30)],
     ["verify", "thm-main", "--bound", str(10 ** 30)],
-], ids=["enumerate", "enumerate-huge", "verify-huge"])
+], ids=["enumerate-first", "enumerate", "enumerate-huge", "verify-huge"])
 def test_bound_past_limit_exits_at_once(capsys, argv):
-    # every order has at least one group type, so a bound above
-    # MAX_ENUMERATION cannot end inside the limit and is refused unwalked
+    # a window of more than MAX_ENUMERATION group types is counted and
+    # refused unwalked; 438,640 is the first bound whose window holds more
     start = time.perf_counter()
     assert run(argv) == 3
     assert time.perf_counter() - start < 1

@@ -2,6 +2,8 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
+from math import prod
 
 import pytest
 
@@ -165,6 +167,23 @@ def test_enumerate_resource_limit(monkeypatch):
     monkeypatch.setattr(families, "MAX_ENUMERATION", 100)
     with pytest.raises(ResourceLimitError, match="limit of 100"):
         enumerate_family(A3P, 512)
+
+
+def test_type_count_is_the_walk_length():
+    # _group_types(x) walks the orders 1 .. x in turn, so a running count
+    # over one walk to 2000 gives its length at every x
+    per_order = Counter(prod(p ** sum(parts) for p, parts in types.items())
+                        for types in families._group_types(2000))
+    walked = 0
+    for x in range(1, 2001):
+        walked += per_order[x]
+        assert families._type_count(x) == walked, x
+    for x in (1, 17, 256, 2000):
+        assert families._type_count(x) == sum(
+            1 for _ in families._group_types(x))
+    # 438,640 is the first bound whose window passes the limit
+    assert families._type_count(438639) == 999999
+    assert families._type_count(438640) > families.MAX_ENUMERATION
 
 
 def test_a2_without_low_products_is_two_sporadics():

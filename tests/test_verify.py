@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -68,6 +69,12 @@ _CORRUPTED = Claim("corrupted", (Sweep("extension", A1, A2, _BROKEN),))
 _LOST = parse_group("Z/8 x Z/4^2 x Z/2")
 _PATCHED = Claim("patched", (Sweep("extension", A1, A2, Family(
     "A3p-patched", _BROKEN.patterns, GroupSet([_LOST]))),))
+# closure into an A2 without its Z/k x Z/l row: no member of A1 lies in it,
+# and witnesses (the trivial group among them) appear in the smallest windows
+_CORRUPTED_CLOSURE = Claim("corrupted-closure", (Sweep(
+    "closure", A1, A3P, Family("A2-broken", A2.patterns[1:])),))
+_CLAIMS_BY_ID = {claim.claim_id: claim for claim in
+                 CLAIM_TABLE + (_CORRUPTED, _PATCHED, _CORRUPTED_CLOSURE)}
 
 
 def test_corrupted_table_is_detected():
@@ -83,7 +90,7 @@ def test_exceptional_target_members_are_not_witnesses():
         set(run_claim(_CORRUPTED, 32).witnesses) - {_LOST})
 
 
-@pytest.mark.parametrize("claim", CLAIM_TABLE + (_CORRUPTED, _PATCHED),
+@pytest.mark.parametrize("claim", _CLAIMS_BY_ID.values(),
                          ids=lambda claim: claim.claim_id)
 def test_run_claim_matches_naive_sweep(claim):
     report = run_claim(claim, 32)
@@ -91,6 +98,42 @@ def test_run_claim_matches_naive_sweep(claim):
     assert report.checked_pairs == checked
     assert report.witness_sources == {
         g: tuple(sorted(pairs)) for g, pairs in witnesses.items()}
+
+
+def test_corrupted_closure_is_detected_in_small_windows():
+    report = run_claim(_CORRUPTED_CLOSURE, 16)
+    assert report.verdict == "fail" and report.witnesses
+
+
+def _reports(claim_ids, bound):
+    """JSON of the report and witness sources of each claim, run in turn."""
+    out = []
+    for claim_id in claim_ids:
+        report = run_claim(_CLAIMS_BY_ID[claim_id], bound)
+        sources = {str(g): [[str(h), str(k)] for h, k in pairs]
+                   for g, pairs in report.witness_sources.items()}
+        out.append([report.to_json_obj(), sources])
+    return json.dumps(out)
+
+
+def _reports_in_child(claim_ids, bound):
+    """_reports of claims run in turn in one fresh process."""
+    code = ("import sys, test_verify; "
+            "print(test_verify._reports(sys.argv[1:-1], int(sys.argv[-1])))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", code, *claim_ids, str(bound)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+
+
+def test_tables_do_not_leak_between_targets():
+    # the closure sweeps of both claims start from A1 x A3p, into A2 and
+    # into the broken A2: each target's table must serve that target alone
+    ids = ["prop-product-types", "corrupted-closure"]
+    alone = [_reports_in_child([claim_id], 32)[0] for claim_id in ids]
+    assert alone[1][0]["verdict"] == "fail"
+    assert _reports_in_child(ids, 32) == alone
+    assert _reports_in_child(ids[::-1], 32) == alone[::-1]
 
 
 _SQUARE_PAIR = ("Z/4^2 x Z/2", "Z/4^2 x Z/2")
@@ -108,6 +151,8 @@ _PINNED_SOURCES = {
     ("thm-main", 32, 4624), ("thm-main", 64, 19054),
     ("prop-product-types", 32, 6439), ("prop-product-types", 64, 26659),
     ("thm-second", 32, 4624), ("thm-second", 64, 19054),
+    ("prop-ext-low", 128, 44505), ("thm-main", 128, 78261),
+    ("prop-product-types", 128, 109866), ("thm-second", 128, 78261),
 ])
 def test_claim_reports_are_pinned(claim_id, bound, checked):
     report = CLAIMS[claim_id](bound)
