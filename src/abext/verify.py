@@ -14,10 +14,13 @@ target family.  There are three step kinds:
 _outside decides all three per prime, by bitmasks over the target's rows
 (row_mask) or, for closure, over pairs of rows (_reach, whose docstring
 argues that it is exact).  Each (step, target) has one table (_table),
-keyed by plain (p, h_p, k_p) tuples, that groups each key's masks once.
-run_claim ANDs each pair's shared masks from it inside the loop and calls
-_outside only when the AND is 0.  A closure pair of two target members is
-skipped, since its extensions are extensions of those two, but counted.
+keyed by plain (p, h_p, k_p) tuples, that groups each key's masks once;
+(p, a, b) and (p, b, a) share one entry.  run_claim does not loop over
+pairs: _zero_pairs joins each left member with all right members at once,
+ANDing per-prime bitsets over (row, right member), and yields only the
+pairs whose shared masks AND to 0, which go on to _outside.  A closure
+pair of two target members is skipped, since its extensions are extensions
+of those two, but counted.
 No test uses a truncated enumeration, so a pass verifies the claim
 restricted to pairs within the window.
 
@@ -137,8 +140,8 @@ class Claim:
 def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Run every sweep of claim inside the window and judge the witnesses.
 
-    Each pair ANDs its shared masks from the sweep's table over the primes,
-    and only a pair whose AND is 0 goes on to _outside.
+    _zero_pairs joins the left members with the right ones, and only a pair
+    whose shared masks AND to 0 goes on to _outside.
     """
     start = time.perf_counter()
     members: dict = {}
@@ -151,25 +154,71 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
                 members[family] = [(g, g.prime_types())
                                    for g in enumerate_family(family, bound)]
         step, target = sweep.step, sweep.target
-        table = _table(step, target)
-        right = members[sweep.right]
+        left, right = members[sweep.left], members[sweep.right]
+        checked += len(left) * len(right)
+        joins = [(left, right)]
         if step == "closure":
             # extensions of two target members are never witnesses
-            rest = [(k, kt) for k, kt in right
-                    if not family_contains(k, target)]
-        for h, ht in members[sweep.left]:
-            checked += len(right)
-            inside = step == "closure" and family_contains(h, target)
-            primes = ht.keys() | target.primes
-            for k, kt in rest if inside else right:
-                mask = table.full
-                for p in primes | kt.keys():
-                    mask &= table[p, ht.get(p, ()), kt.get(p, ())][0]
-                if not mask:
-                    for g in _outside(step, ht, kt, target):
-                        witnesses.setdefault(g, set()).add((h, k))
+            held = {g for g, _ in left + right if family_contains(g, target)}
+            joins = [([e for e in left if e[0] not in held], right),
+                     ([e for e in left if e[0] in held],
+                      [e for e in right if e[0] not in held])]
+        for lhs, rhs in joins:
+            for (h, ht), (k, kt) in _zero_pairs(step, target, lhs, rhs):
+                for g in _outside(step, ht, kt, target):
+                    witnesses.setdefault(g, set()).add((h, k))
     return _finalize(claim.claim_id, bound, checked, witnesses,
                      claim.expected, start)
+
+
+def _zero_pairs(step: str, target: Family, left: list, right: list):
+    """The pairs ((h, ht), (k, kt)) of left x right, given as (group, prime
+    types), whose shared masks (_Options) AND to 0 over the primes.
+
+    A join over the right members instead of a loop over pairs.  cols[p]
+    maps each p-type v to the bitset of right indices j with that p-type,
+    () for the members that lack p.  lanes[p, a] has bit r * m + j set when
+    row r (row pair for closure) is in the shared mask of (a, v_j) at p.
+    ANDing h's lanes over the primes leaves bit r * m + j exactly when row
+    r survives every prime for the pair (h, right[j]), and folding the rows
+    together leaves the right members that some row admits.  A prime that
+    neither member has outside target.primes has the full mask (every row
+    admits (), and lr_expand((), ()) is {(): 1}), so it ANDs in nothing.
+    """
+    table = _table(step, target)
+    m, n = len(right), table.full.bit_length()
+    every = (1 << m) - 1
+    cols: dict = {p: {} for p in target.primes}
+    for j, (_, kt) in enumerate(right):
+        for p, v in kt.items():
+            col = cols.setdefault(p, {})
+            col[v] = col.get(v, 0) | 1 << j
+    for col in cols.values():
+        if lack := every - sum(col.values()):
+            col[()] = lack
+    lanes: dict = {}
+    for entry in left:
+        ht = entry[1]
+        x = (1 << n * m) - 1
+        for p in cols.keys() | ht.keys():
+            a = ht.get(p, ())
+            if (p, a) not in lanes:
+                lane = 0
+                for v, bits in cols.get(p, {(): every}).items():
+                    shared = table[p, a, v][0]
+                    for r in range(n):
+                        if shared >> r & 1:
+                            lane |= bits << r * m
+                lanes[p, a] = lane
+            x &= lanes[p, a]
+        alive = 0
+        for r in range(n):
+            alive |= x >> r * m
+        dead = every & ~alive
+        while dead:
+            low = dead & -dead
+            yield entry, right[low.bit_length() - 1]
+            dead ^= low
 
 
 def _outside(step: str, ht: dict, kt: dict,
@@ -193,9 +242,10 @@ class _Options(dict):
     """(p, a, b) -> (shared, groups) for one step into one target, filled on
     first lookup: groups pairs each mask (row_mask, or _reach for closure)
     with the candidate p-types that have it (union_merge for a product,
-    lr_expand otherwise), and shared is the AND of the masks.  Its keys hold
-    no Family, so a lookup hashes only ints and partitions.  full has a bit
-    for every row (every row pair for closure).
+    lr_expand otherwise), and shared is the AND of the masks.  (p, a, b) and
+    (p, b, a) share one entry, filled once.  Its keys hold no Family, so a
+    lookup hashes only ints and partitions.  full has a bit for every row
+    (every row pair for closure).
     """
 
     def __init__(self, step: str, target: Family):
@@ -206,6 +256,12 @@ class _Options(dict):
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
+        if (p, b, a) in self:
+            # c^mu_ab = c^mu_ba and union_merge is symmetric, so (p, b, a)
+            # lists the same mu in the same sort_key order, and each mask
+            # depends on mu alone
+            self[key] = entry = self[p, b, a]
+            return entry
         mask_of = _reach if self.step == "closure" else row_mask
         by_mask: dict[int, list[Partition]] = {}
         mus = ((union_merge(a, b),) if self.step == "product"
@@ -233,17 +289,19 @@ def _reach(family: Family, p: int, mu: Partition) -> int:
     so g extends members of rows i and j exactly when bit (i, j) survives
     the AND of _reach over the primes of g and of the rows.
     """
-    n = len(family.rows)
-    subs = [(a, m) for a in _subdiagrams(mu) if (m := row_mask(family, p, a))]
+    n, total = len(family.rows), sum(mu)
+    by_size: dict[int, list] = {}
+    for a in _subdiagrams(mu):
+        if m := row_mask(family, p, a):
+            by_size.setdefault(sum(a), []).append((a, m))
     bits = 0
-    for a, left in subs:
-        for b, right in subs:
-            if sum(a) + sum(b) != sum(mu):
-                continue
-            # the LR test runs only when it could set a new bit
-            pairs = sum(right << i * n for i in range(n) if left >> i & 1)
-            if pairs & ~bits and lr_positive(a, b, mu):
-                bits |= pairs
+    for size, subs in by_size.items():
+        for a, left in subs:
+            for b, right in by_size.get(total - size, ()):
+                # the LR test runs only when it could set a new bit
+                pairs = sum(right << i * n for i in range(n) if left >> i & 1)
+                if pairs & ~bits and lr_positive(a, b, mu):
+                    bits |= pairs
     return bits
 
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import time
+from functools import reduce
+from operator import and_
 
 import pytest
 
@@ -14,8 +16,8 @@ from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
 from abext.groups import TRIVIAL, parse_group
 from abext.partitions import contains
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
-                          _outside, _subdiagrams, regression_expansions,
-                          run_claim)
+                          _Options, _outside, _subdiagrams, _table,
+                          _zero_pairs, regression_expansions, run_claim)
 
 from oracles import (all_abelian_groups_upto, naive_extends_two,
                      naive_run_claim, partitions_of, partitions_upto)
@@ -153,6 +155,8 @@ _PINNED_SOURCES = {
     ("thm-second", 32, 4624), ("thm-second", 64, 19054),
     ("prop-ext-low", 128, 44505), ("thm-main", 128, 78261),
     ("prop-product-types", 128, 109866), ("thm-second", 128, 78261),
+    ("prop-ext-low", 256, 178358), ("thm-main", 256, 320754),
+    ("prop-product-types", 256, 450539), ("thm-second", 256, 321011),
 ])
 def test_claim_reports_are_pinned(claim_id, bound, checked):
     report = CLAIMS[claim_id](bound)
@@ -164,6 +168,56 @@ def test_claim_reports_are_pinned(claim_id, bound, checked):
         parse_group(g): tuple((parse_group(h), parse_group(k))
                               for h, k in pairs)
         for g, pairs in sources.items()}
+
+
+def _zero_pairs_by_loop(step, target, left, right):
+    """The pairs of left x right whose shared masks AND to 0, pair by pair:
+    the reference for the join in _zero_pairs."""
+    table = _table(step, target)
+    return {(h, k) for h, ht in left for k, kt in right
+            if not reduce(and_, (table[p, ht.get(p, ()), kt.get(p, ())][0]
+                                 for p in ht.keys() | kt.keys() | target.primes),
+                          table.full)}
+
+
+_EMPTY = Family("E", ())
+# the one right member has no odd prime, so each odd prime of h is its own;
+# (Z/5^2, Z/4^2 x Z/2) fails only there, in the one row that admits its 2-part
+_SQUARE = Family("Z/4^2 x Z/2", A2.patterns[2:3])
+_JOIN_SWEEPS = [sweep for claim in _CLAIMS_BY_ID.values()
+                for sweep in claim.sweeps] + [
+    Sweep(step, A1, A2, _EMPTY) for step in ("extension", "product", "closure")
+] + [Sweep("extension", A2, _SQUARE, A2)]
+
+
+@pytest.mark.parametrize("sweep", _JOIN_SWEEPS, ids=lambda s: "-".join(
+    (s.step, s.left.name, s.right.name, s.target.name)))
+def test_join_matches_per_pair_and(sweep):
+    left, right = ([(g, g.prime_types()) for g in enumerate_family(f, 64)]
+                   for f in (sweep.left, sweep.right))
+    for rhs in ([], right):
+        joined = [(h, k) for (h, _), (k, _) in
+                  _zero_pairs(sweep.step, sweep.target, left, rhs)]
+        expected = _zero_pairs_by_loop(sweep.step, sweep.target, left, rhs)
+        assert len(joined) == len(set(joined))
+        assert set(joined) == expected
+    if sweep.target is _EMPTY:
+        # no rows, so every pair is outside
+        assert len(expected) == len(left) * len(right)
+    if sweep.right is _SQUARE:
+        assert (parse_group("Z/5^2"), parse_group("Z/4^2 x Z/2")) in expected
+
+
+def test_table_entries_are_symmetric():
+    # _Options stores one entry for (p, a, b) and (p, b, a); each side is
+    # computed here in a table of its own
+    for claim in CLAIM_TABLE:
+        run_claim(claim, 64)
+    for step, target in {(s.step, s.target) for claim in CLAIM_TABLE
+                         for s in claim.sweeps}:
+        for p, a, b in list(_table(step, target)):
+            assert (_Options(step, target)[p, a, b]
+                    == _Options(step, target)[p, b, a]), (step, p, a, b)
 
 
 def test_closure_search_matches_window_search():
