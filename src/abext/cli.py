@@ -51,6 +51,12 @@ def _positive(text: str) -> int:
     return value
 
 
+def _oracle_bound(text: str) -> int:
+    if _positive(text) > DEFAULT_ORACLE_BOUND:
+        raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_ORACLE_BOUND}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
@@ -84,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="decide whether G is an extension of K by H and "
                         "cross-check with the element-level oracle")
-    p.add_argument("--oracle-bound", type=_positive,
+    p.add_argument("--oracle-bound", type=_oracle_bound,
                    default=DEFAULT_ORACLE_BOUND,
                    help="largest p-part order the oracle will enumerate "
-                        f"(default {DEFAULT_ORACLE_BOUND})")
+                        f"(default and maximum {DEFAULT_ORACLE_BOUND})")
 
     p = sub.add_parser("member", parents=[common],
                        help="membership of a group in a built-in family")

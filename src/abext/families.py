@@ -34,18 +34,20 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby, product
-from math import isqrt
 
 from .errors import ResourceLimitError
 from .extensions import GroupSet
-from .groups import AbelianGroup, factorize, is_prime
+from .groups import AbelianGroup, factorize
 from .partitions import Partition
 
 _SCALES = {"free": 1, "even": 2, "triple": 3}
 _KINDS = (*_SCALES, "fixed")
 
-# Most group types a window of enumerate_family may hold.
+# Most group types a window of enumerate_family may hold, and the largest
+# order bound whose window holds at most that many: 999,999 types, while
+# the window of 438,640 holds 1,000,004.
 MAX_ENUMERATION = 1_000_000
+MAX_ENUMERATION_BOUND = 438_639
 
 
 @dataclass(frozen=True)
@@ -200,43 +202,16 @@ def _slot_key(slot: Slot):
 def enumerate_family(family: Family, order_bound: int) -> GroupSet:
     """Every member with order at most order_bound: each group type of the
     window that the family admits.  Raises ResourceLimitError before the
-    walk when the window holds more than MAX_ENUMERATION group types.
+    walk when order_bound passes MAX_ENUMERATION_BOUND, that is, when the
+    window holds more than MAX_ENUMERATION group types.
     """
     if order_bound < 1:
         raise ValueError("order bound must be >= 1")
-    # every order has a type, so for a larger bound the count up to
-    # MAX_ENUMERATION + 1 is already past the limit
-    if _type_count(min(order_bound, MAX_ENUMERATION + 1)) > MAX_ENUMERATION:
+    if order_bound > MAX_ENUMERATION_BOUND:
         raise ResourceLimitError(f"family enumeration exceeded the limit of "
                                  f"{MAX_ENUMERATION} group types")
     return GroupSet(AbelianGroup(types) for types in _group_types(order_bound)
                     if _admits(family, types))
-
-
-def _type_count(bound: int) -> int:
-    """Number of group types of order 1 .. bound, without listing them.
-
-    The types of order n number a(n), the product of P(e) over the prime
-    powers p^e of n (P counts partitions).  So a = c * 1 (Dirichlet
-    convolution) with c multiplicative, c(p^e) = P(e) - P(e - 1): the
-    partitions of e into parts >= 2.  Hence the count is the sum over
-    powerful d <= bound (every exponent >= 2) of c(d) * (bound // d).
-    """
-    terms = [(1, 1)]  # (d, c(d)) over the powerful d found so far, sorted
-    for p in range(2, isqrt(bound) + 1):
-        if not is_prime(p):
-            continue
-        new = []
-        for d, c in terms:
-            q, e = d * p * p, 2
-            if q > bound:
-                break
-            while q <= bound:
-                new.append((q, c * (len(_partitions(e))
-                                     - len(_partitions(e - 1)))))
-                q, e = q * p, e + 1
-        terms = sorted(terms + new)
-    return sum(c * (bound // d) for d, c in terms)
 
 
 def _group_types(bound: int) -> Iterator[dict[int, Partition]]:

@@ -225,13 +225,11 @@ def _outside(step: str, ht: dict, kt: dict,
              target: Family) -> list[AbelianGroup]:
     """The results of step on (h, k), given by their prime types, that fail
     the target test: those whose masks (_Options) AND to 0 over the primes.
-    None can when the masks shared within each prime leave a bit set.
+    None can unless the shared masks do too, as for the pairs of _zero_pairs.
     """
     table = _table(step, target)
     primes = tuple(ht.keys() | kt.keys() | target.primes)
     per_prime = [table[p, ht.get(p, ()), kt.get(p, ())] for p in primes]
-    if reduce(and_, (shared for shared, _ in per_prime), table.full):
-        return []
     return [AbelianGroup(dict(zip(primes, types)))
             for combo in itertools.product(*(by for _, by in per_prime))
             if not reduce(and_, (m for m, _ in combo), table.full)

@@ -70,6 +70,27 @@ def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
     assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("groups, bound", [
+    (["Z/2", "1", "Z/2"], "1025"),
+    # the oracle's work per subgroup grows with the p-part, so this one
+    # would run for minutes under MAX_SUBGROUPS
+    (["Z/2^16", "Z/2^8", "Z/2^8"], "65536"),
+])
+def test_oracle_bound_past_default_is_a_usage_error(capsys, groups, bound):
+    start = time.perf_counter()
+    assert run(["ext", "--check", *groups, "--oracle-bound", bound]) == 64
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert err.endswith("argument --oracle-bound: must be <= 1024\n")
+
+
+def test_oracle_bound_at_default_answers(capsys):
+    assert run(["ext", "--check", "Z/2", "1", "Z/2",
+                "--oracle-bound", "1024"]) == 0
+    assert get_output(capsys) == "criterion: true\noracle: true"
+
+
 def test_ext_wrong_arity(capsys):
     assert run(["ext", "Z/2"]) == 64
     assert run(["ext", "--check", "Z/2", "Z/2"]) == 64

@@ -3,7 +3,8 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
-from math import prod
+from itertools import accumulate
+from math import isqrt, prod
 
 import pytest
 
@@ -162,14 +163,46 @@ def test_enumerate_rejects_bad_bound():
         enumerate_family(A1, 0)
 
 
+_LIMIT_MESSAGE = ("family enumeration exceeded the limit of 1000000 "
+                  "group types")
+
+
 def test_enumerate_resource_limit(monkeypatch):
     from abext.extensions import ResourceLimitError
-    monkeypatch.setattr(families, "MAX_ENUMERATION", 100)
-    with pytest.raises(ResourceLimitError, match="limit of 100"):
-        enumerate_family(A3P, 512)
+    monkeypatch.setattr(families, "MAX_ENUMERATION_BOUND", 100)
+    assert enumerate_family(A3P, 100)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_family(A3P, 101)
+    assert str(info.value) == _LIMIT_MESSAGE
 
 
-def test_type_count_is_the_walk_length():
+def _type_counts(bound):
+    """[a(0), ..., a(bound)]: a(n) group types of order n, the product of
+    P(e) over the prime powers p^e of n (P counts partitions), a(0) = 0.
+    Takes each n's smallest prime factor from a sieve.
+    """
+    P = [1] + [0] * bound.bit_length()
+    for part in range(1, len(P)):
+        for e in range(part, len(P)):
+            P[e] += P[e - part]
+    spf = list(range(bound + 1))
+    for p in range(2, isqrt(bound) + 1):
+        if spf[p] == p:
+            for q in range(p * p, bound + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    a = [0, 1] + [0] * (bound - 1)
+    for n in range(2, bound + 1):
+        p, m, e = spf[n], n // spf[n], 1
+        while m % p == 0:
+            m, e = m // p, e + 1
+        a[n] = a[m] * P[e]
+    return a
+
+
+def test_enumeration_bound_is_the_last_within_the_type_limit():
+    last = families.MAX_ENUMERATION_BOUND
+    windows = list(accumulate(_type_counts(last + 1)))
     # _group_types(x) walks the orders 1 .. x in turn, so a running count
     # over one walk to 2000 gives its length at every x
     per_order = Counter(prod(p ** sum(parts) for p, parts in types.items())
@@ -177,13 +210,24 @@ def test_type_count_is_the_walk_length():
     walked = 0
     for x in range(1, 2001):
         walked += per_order[x]
-        assert families._type_count(x) == walked, x
+        assert windows[x] == walked, x
     for x in (1, 17, 256, 2000):
-        assert families._type_count(x) == sum(
-            1 for _ in families._group_types(x))
-    # 438,640 is the first bound whose window passes the limit
-    assert families._type_count(438639) == 999999
-    assert families._type_count(438640) > families.MAX_ENUMERATION
+        assert windows[x] == sum(1 for _ in families._group_types(x)), x
+    assert windows[last] == 999_999 <= families.MAX_ENUMERATION
+    assert windows[last + 1] == 1_000_004 > families.MAX_ENUMERATION
+
+
+def test_enumeration_bound_is_checked_before_the_walk(monkeypatch):
+    from abext.extensions import ResourceLimitError
+    walks = []
+    monkeypatch.setattr(families, "_group_types",
+                        lambda bound: walks.append(bound) or iter(()))
+    last = families.MAX_ENUMERATION_BOUND
+    assert enumerate_family(A1, last) == GroupSet()
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_family(A1, last + 1)
+    assert str(info.value) == _LIMIT_MESSAGE
+    assert walks == [last]
 
 
 def test_a2_without_low_products_is_two_sporadics():
