@@ -15,7 +15,7 @@ from .families import (BUILTIN_FAMILIES, Family, FamilyPattern, Slot,
                        get_family, instantiate_pattern, matches)
 from .groups import (AbelianGroup, GroupSyntaxError, TRIVIAL, format_group,
                      parse_group)
-from .lr import lr_coefficient, lr_expand, lr_positive
+from .lr import lr_coefficient, lr_expand, lr_positive, lr_support
 from .partitions import (Partition, componentwise_sum, conjugate, contains,
                          format_partition, make_partition, parse_partition,
                          size, union_merge)
@@ -31,7 +31,7 @@ __all__ = [
     "enumerate_family", "extension_set", "family_contains", "family_product",
     "format_group", "format_partition", "get_family", "instantiate_pattern",
     "is_extension", "lr_coefficient", "lr_expand", "lr_positive",
-    "make_partition", "matches", "parse_group", "parse_partition",
+    "lr_support", "make_partition", "matches", "parse_group", "parse_partition",
     "regression_expansions", "set_extension", "set_product", "size",
     "union_merge",
 ]

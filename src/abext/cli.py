@@ -45,16 +45,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    # argparse would name this function in the message of a ValueError
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
 
 def _oracle_bound(text: str) -> int:
-    if _positive(text) > DEFAULT_ORACLE_BOUND:
+    value = _positive(text)
+    if value > DEFAULT_ORACLE_BOUND:
         raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_ORACLE_BOUND}")
-    return int(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,7 @@ G is an extension of K by H when 0 -> H -> G -> K -> 0 is exact.  For
 finite abelian groups the condition splits over primes: it holds exactly
 when every p-part of G carries a positive Littlewood-Richardson
 coefficient for the p-types of H and K.  extension_set enumerates all
-extensions by combining the per-prime expansions.
+extensions by combining the per-prime supports (lr_support).
 
 brute_force_is_extension answers the same question at the element level,
 with no tableau combinatorics: it enumerates every subgroup S of each
@@ -26,7 +26,7 @@ from math import prod
 
 from .errors import ResourceLimitError
 from .groups import AbelianGroup
-from .lr import lr_expand, lr_positive
+from .lr import lr_positive, lr_support
 from .partitions import Partition, conjugate
 
 DEFAULT_ORACLE_BOUND = 1024
@@ -62,12 +62,12 @@ def is_extension(g: AbelianGroup, h: AbelianGroup, k: AbelianGroup) -> bool:
 
 
 # No memo: a pair recurs in at most about a third of calls, each call is cheap
-# next to the memoized expansions, and a pair memo kept a set alive per pair.
+# next to the memoized supports, and a pair memo kept a set alive per pair.
 def extension_set(h: AbelianGroup, k: AbelianGroup) -> GroupSet:
     """All extensions of k by h, combining primes independently."""
     ht, kt = h.prime_types(), k.prime_types()
     primes = sorted(ht.keys() | kt.keys())
-    per_prime = [list(lr_expand(ht.get(p, ()), kt.get(p, ()))) for p in primes]
+    per_prime = [lr_support(ht.get(p, ()), kt.get(p, ())) for p in primes]
     return GroupSet(AbelianGroup(dict(zip(primes, combo)))
                     for combo in itertools.product(*per_prime))
 

@@ -1,24 +1,37 @@
-"""Littlewood-Richardson coefficients via tableau backtracking.
+"""Littlewood-Richardson products: supports from one horizontal-strip
+traversal, coefficients by tableau backtracking.
 
-The coefficient of mu in the Young-diagram product lam . nu counts the
-semistandard fillings of the skew shape mu/lam with content nu whose
-reverse reading word (rows read right to left, top to bottom) is a ballot
-word: every prefix contains at least as many i's as (i+1)'s.  Cells are
-filled in exactly that reading order, so the ballot condition, the content
-bounds and the row/column rules all prune incrementally, and positivity
-queries can stop at the first completed filling.
+lr_support lists the mu with positive coefficient in lam . nu.  It adds the
+rows of nu to lam in turn, row i as a horizontal strip of nu_i cells
+labelled i: only addable rows take cells (row 0, and rows shorter than the
+row above), and under the lattice rule the i's in rows <= r number at most
+the (i-1)'s in rows <= r-1 (label 1 has no such limit).  A state is the
+grown shape with the running count of the last label per row, and states
+are deduplicated after each label, so the cost follows the number of
+distinct states, not of tableaux.  This is the Remmel-Whitney rule, as in
+Buch's lrcalc.  A product whose bounding box has more rows than columns is
+walked on the conjugates, since c^mu'_{lam' nu'} = c^mu_{lam nu}.
 
-A product lam . nu is expanded by iterating candidate shapes mu of size
+The coefficient of mu in lam . nu counts the semistandard fillings of the
+skew shape mu/lam with content nu whose reverse reading word (rows read
+right to left, top to bottom) is a ballot word: every prefix contains at
+least as many i's as (i+1)'s.  Cells are filled in exactly that reading
+order, so the ballot condition, the content bounds and the row/column rules
+all prune incrementally, and positivity queries can stop at the first
+completed filling.  lr_expand iterates candidate shapes mu of size
 |lam| + |nu| inside the bounding box (len(lam) + len(nu) rows, lam[0] +
 nu[0] columns) that contain lam, keeping those with positive coefficient.
-Expansions and positivity answers are memoized; a lone coefficient is
-computed fresh.  Arguments must be canonical partition tuples; any other
-tuple or a list is refused, checked only when the answer is not memoized.
 
-Both searches recurse, one Python frame per row of a candidate shape and
-one per cell of a filling.  Inputs that would need more than MAX_DEPTH
-frames raise ResourceLimitError instead of overflowing the interpreter's
-stack.
+Supports, expansions and positivity answers are memoized; a lone
+coefficient is computed fresh.  Arguments must be canonical partition
+tuples; any other tuple or a list is refused, checked only when the answer
+is not memoized.
+
+Both backtracking searches recurse, one Python frame per row of a candidate
+shape and one per cell of a filling.  Inputs that would need more than
+MAX_DEPTH frames raise ResourceLimitError instead of overflowing the
+interpreter's stack.  The strip traversal does not recurse but refuses the
+same inputs, so every entry point has the same row and cell limits.
 """
 
 from __future__ import annotations
@@ -26,7 +39,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .partitions import Partition, contains, make_partition, size
+from .partitions import (Partition, conjugate, contains, make_partition,
+                         size, sort_key)
 
 # Deepest recursion the searches may start: below the interpreter's default
 # recursion limit of 1000, with room for the frames of the caller (the CLI,
@@ -64,6 +78,61 @@ def _expansion_items(lam, nu):
                  if (c := _count_fillings(lam, nu, mu, False)))
 
 
+@lru_cache(maxsize=None)
+def lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
+    """The mu with positive coefficient in lam . nu, in partitions.sort_key
+    order: the shapes of lr_expand(lam, nu), without counting fillings."""
+    _check_partitions(lam, nu)
+    _check_rows(len(lam) + len(nu))
+    _check_cells(size(nu))
+    if len(lam) + len(nu) > (lam[0] if lam else 0) + (nu[0] if nu else 0):
+        # taller than wide: walk the transposes, as c^mu'_{lam' nu'} =
+        # c^mu_{lam nu}, so that the walk has few rows
+        found = map(conjugate, _strip_shapes(conjugate(lam), conjugate(nu)))
+    else:
+        found = _strip_shapes(lam, nu)
+    return tuple(sorted(found, key=sort_key))
+
+
+def _strip_shapes(lam, nu):
+    """The shapes reached by adding the rows of nu to lam as lattice
+    horizontal strips, each once."""
+    states = {(lam, None)}
+    for n in nu:
+        states = {grown for shape, limit in states
+                  for grown in _strips(shape, limit, n)}
+    return {shape for shape, _ in states}
+
+
+def _strips(shape, limit, n):
+    """(grown shape, running count per row) for each horizontal strip of n
+    cells on shape whose running count at row r is at most limit[r - 1],
+    the previous label's running count; limit None is no limit.
+
+    Rows are walked top to bottom, the new row len(shape) included.  A row
+    takes at most its gap to the row above, and at least what the rows
+    below it cannot hold: their gaps sum to its own old length.
+    """
+    padded = shape + (0,)
+    partials = [((), (), 0)]
+    for r, old in enumerate(padded):
+        cap = padded[r - 1] - old if r else n
+        if limit is None:
+            most = n
+        else:
+            most = min(limit[r - 1], n) if r else 0
+        grown = []
+        for rows, counts, placed in partials:
+            # a row that takes no cell never breaks the lattice rule
+            top = max(min(cap, most - placed), 0)
+            for x in range(max(n - placed - old, 0), top + 1):
+                grown.append((rows + (old + x,), counts + (placed + x,),
+                              placed + x))
+        partials = grown
+    for rows, counts, _ in partials:
+        yield (rows, counts) if rows[-1] else (rows[:-1], counts[:-1])
+
+
 def _check_partitions(*shapes):
     for shape in shapes:
         if make_partition(shape) != shape:
@@ -77,9 +146,7 @@ def _candidates(lam, nu):
     total = size(lam) + size(nu)
     max_len = len(lam) + len(nu)
     top = (lam[0] if lam else 0) + (nu[0] if nu else 0)
-    if max_len > MAX_DEPTH:
-        raise ResourceLimitError(
-            f"shapes of {max_len} rows exceed the LR depth limit {MAX_DEPTH}")
+    _check_rows(max_len)
     _check_cells(size(nu))
     out = []
     prefix = []
@@ -101,6 +168,12 @@ def _candidates(lam, nu):
 
     build(0, total, top)
     return out
+
+
+def _check_rows(n):
+    if n > MAX_DEPTH:
+        raise ResourceLimitError(
+            f"shapes of {n} rows exceed the LR depth limit {MAX_DEPTH}")
 
 
 def _check_cells(n):

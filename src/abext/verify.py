@@ -53,7 +53,7 @@ from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        enumerate_family, family_contains, family_product,
                        row_mask)
 from .groups import AbelianGroup
-from .lr import lr_expand, lr_positive
+from .lr import lr_positive, lr_support
 from .partitions import Partition, make_partition, union_merge
 
 DEFAULT_BOUND = 64
@@ -183,7 +183,7 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     r survives every prime for the pair (h, right[j]), and folding the rows
     together leaves the right members that some row admits.  A prime that
     neither member has outside target.primes has the full mask (every row
-    admits (), and lr_expand((), ()) is {(): 1}), so it ANDs in nothing.
+    admits (), and lr_support((), ()) is ((),)), so it ANDs in nothing.
     """
     table = _table(step, target)
     m, n = len(right), table.full.bit_length()
@@ -240,7 +240,7 @@ class _Options(dict):
     """(p, a, b) -> (shared, groups) for one step into one target, filled on
     first lookup: groups pairs each mask (row_mask, or _reach for closure)
     with the candidate p-types that have it (union_merge for a product,
-    lr_expand otherwise), and shared is the AND of the masks.  (p, a, b) and
+    lr_support otherwise), and shared is the AND of the masks.  (p, a, b) and
     (p, b, a) share one entry, filled once.  Its keys hold no Family, so a
     lookup hashes only ints and partitions.  full has a bit for every row
     (every row pair for closure).
@@ -263,7 +263,7 @@ class _Options(dict):
         mask_of = _reach if self.step == "closure" else row_mask
         by_mask: dict[int, list[Partition]] = {}
         mus = ((union_merge(a, b),) if self.step == "product"
-               else lr_expand(a, b))
+               else lr_support(a, b))
         for mu in mus:
             by_mask.setdefault(mask_of(self.target, p, mu), []).append(mu)
         self[key] = entry = (reduce(and_, by_mask, -1), tuple(by_mask.items()))
@@ -279,7 +279,7 @@ def _table(step: str, target: Family) -> _Options:
 @lru_cache(maxsize=None)
 def _reach(family: Family, p: int, mu: Partition) -> int:
     """Bitmask over row pairs: bit i * len(rows) + j is set when some a, b
-    with mu in lr_expand(a, b) have rows[i] admitting a and rows[j] b at p.
+    with mu in lr_support(a, b) have rows[i] admitting a and rows[j] b at p.
 
     Exact for closure: g is an extension of k by h when every p-part has a
     positive coefficient for (h_p, k_p), which puts h_p and k_p inside g_p
@@ -437,7 +437,7 @@ def _runs(table):
 
 
 def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
-    """Replay the reference expansion vectors against lr_expand.
+    """Replay the reference expansion vectors against lr_support.
 
     The bound is recorded in the report but plays no role; the vectors are
     fixed.  Failures are listed in the report details.
@@ -448,11 +448,11 @@ def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
     for label, lam, nu, terms in _runs(_EXACT_CASES):
         checked += 1
         expected = {t for t in terms if make_partition(t) == t}
-        if frozenset(lr_expand(lam, nu)) != expected:
+        if frozenset(lr_support(lam, nu)) != expected:
             failures.append(f"{label}: support mismatch")
     for label, lam, nu, templates in _runs(_SHAPE_CASES):
         checked += 1
-        for mu in lr_expand(lam, nu):
+        for mu in lr_support(lam, nu):
             if not any(len(mu) == len(low) + len(tail)
                        and mu[len(low):] == tail and all(map(ge, mu, low))
                        for low, tail in templates):

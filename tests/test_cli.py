@@ -91,6 +91,21 @@ def test_oracle_bound_at_default_answers(capsys):
     assert get_output(capsys) == "criterion: true\noracle: true"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--family", "A1", "--bound", "x"], "--bound"),
+    (["verify", "thm-main", "--bound", "1.5"], "--bound"),
+    (["ext", "--check", "Z/2", "1", "Z/2", "--oracle-bound", "x"],
+     "--oracle-bound"),
+])
+def test_non_integer_flag_names_no_private_function(capsys, argv, flag):
+    assert run(argv) == 64
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    value = argv[-1]
+    assert err.endswith(f"argument {flag}: invalid int value: {value!r}\n")
+    assert "_positive" not in err and "_oracle_bound" not in err
+
+
 def test_ext_wrong_arity(capsys):
     assert run(["ext", "Z/2"]) == 64
     assert run(["ext", "--check", "Z/2", "Z/2"]) == 64
@@ -226,8 +241,9 @@ def test_enumerate(capsys):
     ["verify", "thm-main", "--bound", str(10 ** 30)],
 ], ids=["enumerate-first", "enumerate", "enumerate-huge", "verify-huge"])
 def test_bound_past_limit_exits_at_once(capsys, argv):
-    # a window of more than MAX_ENUMERATION group types is counted and
-    # refused unwalked; 438,640 is the first bound whose window holds more
+    # the bound is compared with families.MAX_ENUMERATION_BOUND before any
+    # walk; 438,640 is the first bound whose window holds more than
+    # MAX_ENUMERATION group types
     start = time.perf_counter()
     assert run(argv) == 3
     assert time.perf_counter() - start < 1

@@ -1,8 +1,10 @@
+import time
 from math import comb
 
 import pytest
 
-from abext.lr import lr_coefficient, lr_expand, lr_positive
+from abext.errors import ResourceLimitError
+from abext.lr import lr_coefficient, lr_expand, lr_positive, lr_support
 from abext.partitions import (componentwise_sum, contains, size, sort_key,
                               union_merge)
 
@@ -113,11 +115,68 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     (lr_expand, ((2,), (1, -1))),
     (lr_coefficient, ((2,), (-1,), (1,))),
     (lr_coefficient, ([2, 1], (1,), (3, 1))),
+    (lr_support, ((1, 2), (1,))),
+    (lr_support, ((2,), (1, 0))),
 ], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
-        "negative-coefficient", "list"])
+        "negative-coefficient", "list", "unsorted-support",
+        "zero-entry-support"])
 def test_entry_points_reject_non_partitions(call, args):
     with pytest.raises(ValueError):
         call(*args)
+
+
+def test_support_matches_expansion():
+    small = list(partitions_upto(6))
+    for lam in small:
+        for nu in small:
+            assert lr_support(lam, nu) == tuple(lr_expand(lam, nu)), (lam, nu)
+
+
+def test_support_against_naive_coefficients():
+    # in the orientation with fewer skew cells, as the oracle is slow
+    for n in range(7):
+        for m in range(n + 1):
+            for lam in partitions_of(m):
+                for nu in partitions_of(n - m):
+                    inner, content = ((lam, nu) if size(nu) <= size(lam)
+                                      else (nu, lam))
+                    naive = tuple(mu for mu in partitions_of(n)
+                                  if naive_lr(inner, content, mu))
+                    assert lr_support(lam, nu) == naive, (lam, nu)
+
+
+def test_support_on_conjugates():
+    # taller than wide: the traversal runs on the conjugates
+    pairs = [((1,) * k, (1,) * k) for k in range(2, 41)] + [
+        ((1,) * 12, (2,)), ((2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1)),
+        ((3, 2, 2, 1, 1, 1, 1), (2, 1, 1, 1, 1)),
+        ((1, 1, 1), (2, 2, 1, 1, 1, 1))]
+    for lam, nu in pairs:
+        assert len(lam) + len(nu) > lam[0] + nu[0]
+        assert lr_support(lam, nu) == tuple(lr_expand(lam, nu)), (lam, nu)
+
+
+def test_tall_support_is_fast():
+    start = time.perf_counter()
+    support = lr_support((1,) * 200, (1,) * 200)
+    assert time.perf_counter() - start < 1
+    assert support == tuple((2,) * j + (1,) * (400 - 2 * j)
+                            for j in range(200, -1, -1))
+
+
+@pytest.mark.parametrize("lam, nu", [
+    ((1,) * 3000, (1,)),
+    ((1,), (100000000,)),
+], ids=["rows", "cells"])
+def test_support_refuses_what_the_searches_refuse(lam, nu):
+    messages = []
+    for call in (lr_support, lr_expand):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as exc:
+            call(lam, nu)
+        assert time.perf_counter() - start < 1
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_reference_products_against_independent_oracles():
