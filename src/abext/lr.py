@@ -1,5 +1,5 @@
-"""Littlewood-Richardson products: supports from one horizontal-strip
-traversal, coefficients by tableau backtracking.
+"""Littlewood-Richardson products: one shape search, a horizontal-strip
+traversal, and one counting search, tableau backtracking.
 
 lr_support lists the mu with positive coefficient in lam . nu.  It adds the
 rows of nu to lam in turn, row i as a horizontal strip of nu_i cells
@@ -18,20 +18,19 @@ right to left, top to bottom) is a ballot word: every prefix contains at
 least as many i's as (i+1)'s.  Cells are filled in exactly that reading
 order, so the ballot condition, the content bounds and the row/column rules
 all prune incrementally, and positivity queries can stop at the first
-completed filling.  lr_expand iterates candidate shapes mu of size
-|lam| + |nu| inside the bounding box (len(lam) + len(nu) rows, lam[0] +
-nu[0] columns) that contain lam, keeping those with positive coefficient.
+completed filling.  lr_expand counts the fillings of each shape that
+lr_support lists, so it inherits its order, checks and refusals.
 
-Supports, expansions and positivity answers are memoized; a lone
-coefficient is computed fresh.  Arguments must be canonical partition
-tuples; any other tuple or a list is refused, checked only when the answer
-is not memoized.
+Supports and positivity answers are memoized; coefficients, and so the
+multiplicities of an expansion, are computed fresh.  Arguments must be
+canonical partition tuples; any other tuple or a list is refused, checked
+only when the answer is not memoized.
 
-Both backtracking searches recurse, one Python frame per row of a candidate
-shape and one per cell of a filling.  Inputs that would need more than
-MAX_DEPTH frames raise ResourceLimitError instead of overflowing the
-interpreter's stack.  The strip traversal does not recurse but refuses the
-same inputs, so every entry point has the same row and cell limits.
+Only the filling search recurses, one Python frame per cell.  Fillings of
+more than MAX_DEPTH cells raise ResourceLimitError instead of overflowing
+the interpreter's stack.  lr_support also refuses shapes of more than
+MAX_DEPTH rows, though nothing recurses per row: the CLI documents both
+limits as exit 3.
 """
 
 from __future__ import annotations
@@ -42,9 +41,10 @@ from .errors import ResourceLimitError
 from .partitions import (Partition, conjugate, contains, make_partition,
                          size, sort_key)
 
-# Deepest recursion the searches may start: below the interpreter's default
-# recursion limit of 1000, with room for the frames of the caller (the CLI,
-# a test runner or a tracer).
+# Deepest recursion the filling search may start, one frame per cell: below
+# the interpreter's default recursion limit of 1000, with room for the frames
+# of the caller (the CLI, a test runner or a tracer).  lr_support also
+# refuses shapes of more rows, a limit the CLI documents.
 MAX_DEPTH = 900
 
 
@@ -68,14 +68,8 @@ def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
 def lr_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
     """All mu with positive coefficient in lam . nu, with multiplicities,
     in partitions.sort_key order."""
-    return dict(_expansion_items(lam, nu))
-
-
-@lru_cache(maxsize=None)
-def _expansion_items(lam, nu):
-    _check_partitions(lam, nu)
-    return tuple((mu, c) for mu in _candidates(lam, nu)
-                 if (c := _count_fillings(lam, nu, mu, False)))
+    return {mu: _count_fillings(lam, nu, mu, False)
+            for mu in lr_support(lam, nu)}
 
 
 @lru_cache(maxsize=None)
@@ -137,37 +131,6 @@ def _check_partitions(*shapes):
     for shape in shapes:
         if make_partition(shape) != shape:
             raise ValueError(f"{shape!r} is not a partition tuple")
-
-
-def _candidates(lam, nu):
-    """Partitions of |lam| + |nu| containing lam inside the support box,
-    largest part first at each row: descending lexicographic order, which
-    is sort_key order since all have one size."""
-    total = size(lam) + size(nu)
-    max_len = len(lam) + len(nu)
-    top = (lam[0] if lam else 0) + (nu[0] if nu else 0)
-    _check_rows(max_len)
-    _check_cells(size(nu))
-    out = []
-    prefix = []
-
-    def build(row, remaining, prev):
-        if remaining == 0:
-            if row >= len(lam):
-                out.append(tuple(prefix))
-            return
-        if row == max_len:
-            return
-        lo = lam[row] if row < len(lam) else 1
-        for part in range(min(prev, remaining), lo - 1, -1):
-            if part * (max_len - row) < remaining:
-                break
-            prefix.append(part)
-            build(row + 1, remaining - part, part)
-            prefix.pop()
-
-    build(0, total, top)
-    return out
 
 
 def _check_rows(n):

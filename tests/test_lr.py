@@ -1,4 +1,5 @@
 import time
+from functools import partial
 from math import comb
 
 import pytest
@@ -51,13 +52,29 @@ def test_column_products():
         (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1)}
 
 
+def _pairs_upto(total):
+    """Every pair of partitions whose sizes sum to at most total."""
+    for n in range(total + 1):
+        for m in range(n + 1):
+            for lam in partitions_of(m):
+                for nu in partitions_of(n - m):
+                    yield lam, nu
+
+
+def _naive_expansion(lam, nu):
+    """lam . nu by oracles.naive_lr, in sort_key order; in the orientation
+    with fewer skew cells, as the oracle is slow."""
+    inner, content = (lam, nu) if size(nu) <= size(lam) else (nu, lam)
+    return {mu: c for mu in partitions_of(size(lam) + size(nu))
+            if (c := naive_lr(inner, content, mu))}
+
+
 def test_agrees_with_naive_enumeration():
-    for lam in partitions_upto(3):
-        for nu in partitions_upto(3):
-            expansion = lr_expand(lam, nu)
-            for mu in partitions_of(size(lam) + size(nu)):
-                assert expansion.get(mu, 0) == naive_lr(lam, nu, mu), \
-                    (lam, nu, mu)
+    for lam, nu in _pairs_upto(7):
+        expansion = lr_expand(lam, nu)
+        # a support shape counted 0 would pass the dimension identity
+        assert all(c >= 1 for c in expansion.values()), (lam, nu)
+        assert expansion == _naive_expansion(lam, nu), (lam, nu)
 
 
 def test_symmetry_exhaustive():
@@ -125,35 +142,40 @@ def test_entry_points_reject_non_partitions(call, args):
         call(*args)
 
 
+TALL_PAIRS = [
+    ((1,) * 12, (2,)), ((2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1)),
+    ((3, 2, 2, 1, 1, 1, 1), (2, 1, 1, 1, 1)),
+    ((1, 1, 1), (2, 2, 1, 1, 1, 1))]
+
+
+def _positive_shapes(lam, nu):
+    """The support by the filling search alone, in sort_key order."""
+    return tuple(mu for mu in partitions_of(size(lam) + size(nu))
+                 if lr_positive(lam, nu, mu))
+
+
 def test_support_matches_expansion():
-    small = list(partitions_upto(6))
-    for lam in small:
-        for nu in small:
-            assert lr_support(lam, nu) == tuple(lr_expand(lam, nu)), (lam, nu)
+    # against the filling search, which shares no code with the traversal
+    small = list(partitions_upto(5))
+    for lam, nu in [(lam, nu) for lam in small for nu in small] + TALL_PAIRS:
+        assert lr_support(lam, nu) == _positive_shapes(lam, nu), (lam, nu)
 
 
 def test_support_against_naive_coefficients():
-    # in the orientation with fewer skew cells, as the oracle is slow
-    for n in range(7):
-        for m in range(n + 1):
-            for lam in partitions_of(m):
-                for nu in partitions_of(n - m):
-                    inner, content = ((lam, nu) if size(nu) <= size(lam)
-                                      else (nu, lam))
-                    naive = tuple(mu for mu in partitions_of(n)
-                                  if naive_lr(inner, content, mu))
-                    assert lr_support(lam, nu) == naive, (lam, nu)
+    for lam, nu in _pairs_upto(6):
+        assert lr_support(lam, nu) == tuple(_naive_expansion(lam, nu)), \
+            (lam, nu)
 
 
 def test_support_on_conjugates():
-    # taller than wide: the traversal runs on the conjugates
-    pairs = [((1,) * k, (1,) * k) for k in range(2, 41)] + [
-        ((1,) * 12, (2,)), ((2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1)),
-        ((3, 2, 2, 1, 1, 1, 1), (2, 1, 1, 1, 1)),
-        ((1, 1, 1), (2, 2, 1, 1, 1, 1))]
-    for lam, nu in pairs:
+    # taller than wide: the traversal runs on the conjugates.  The tall
+    # pairs are checked against the filling search above; a product of two
+    # columns of k cells has the closed form (2^j, 1^(2k-2j)), j = k .. 0.
+    for lam, nu in TALL_PAIRS:
         assert len(lam) + len(nu) > lam[0] + nu[0]
-        assert lr_support(lam, nu) == tuple(lr_expand(lam, nu)), (lam, nu)
+    for k in range(2, 41):
+        assert lr_support((1,) * k, (1,) * k) == tuple(
+            (2,) * j + (1,) * (2 * k - 2 * j) for j in range(k, -1, -1)), k
 
 
 def test_tall_support_is_fast():
@@ -164,19 +186,24 @@ def test_tall_support_is_fast():
                             for j in range(200, -1, -1))
 
 
-@pytest.mark.parametrize("lam, nu", [
-    ((1,) * 3000, (1,)),
-    ((1,), (100000000,)),
+@pytest.mark.parametrize("lam, nu, mu, message", [
+    ((1,) * 3000, (1,), None,
+     "shapes of 3001 rows exceed the LR depth limit 900"),
+    ((1,), (100000000,), (100000001,),
+     "fillings of 100000000 cells exceed the LR depth limit 900"),
 ], ids=["rows", "cells"])
-def test_support_refuses_what_the_searches_refuse(lam, nu):
-    messages = []
-    for call in (lr_support, lr_expand):
+def test_support_refuses_what_the_searches_refuse(lam, nu, mu, message):
+    calls = [partial(lr_support, lam, nu), partial(lr_expand, lam, nu)]
+    if mu is not None:
+        # lr_coefficient is given mu and searches no shapes, so only the
+        # cell guard applies
+        calls.append(partial(lr_coefficient, lam, nu, mu))
+    for call in calls:
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as exc:
-            call(lam, nu)
+            call()
         assert time.perf_counter() - start < 1
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+        assert str(exc.value) == message
 
 
 def test_reference_products_against_independent_oracles():
