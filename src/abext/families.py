@@ -38,7 +38,7 @@ from itertools import groupby, product
 from .errors import ResourceLimitError
 from .extensions import GroupSet
 from .groups import AbelianGroup, factorize
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 
 _SCALES = {"free": 1, "even": 2, "triple": 3}
 _KINDS = (*_SCALES, "fixed")
@@ -218,17 +218,8 @@ def _group_types(bound: int) -> Iterator[dict[int, Partition]]:
     """Every group type of order 1 .. bound, as {prime: partition}."""
     for n in range(1, bound + 1):
         powers = factorize(n)
-        for combo in product(*map(_partitions, powers.values())):
+        for combo in product(*map(partitions_of, powers.values())):
             yield dict(zip(powers, combo))
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int, top: int | None = None) -> list[Partition]:
-    """Partitions of n with parts at most top, largest part first."""
-    if n == 0:
-        return [()]
-    return [(first, *rest) for first in range(min(n, top or n), 0, -1)
-            for rest in _partitions(n - first, first)]
 
 
 def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGroup:

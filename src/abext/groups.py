@@ -172,9 +172,11 @@ class AbelianGroup:
     @classmethod
     def from_json(cls, obj) -> "AbelianGroup":
         """Inverse of to_json."""
-        if not isinstance(obj, dict) or set(obj) != {"primes"}:
+        primes = obj.get("primes") if isinstance(obj, dict) else None
+        if (not isinstance(primes, dict) or set(obj) != {"primes"}
+                or not all(isinstance(v, list) for v in primes.values())):
             raise ValueError("expected an object of the form {'primes': {...}}")
-        return cls({int(p): parts for p, parts in obj["primes"].items()})
+        return cls({int(p): parts for p, parts in primes.items()})
 
     def to_json(self) -> dict:
         """JSON form, e.g. {'primes': {'2': [3, 3, 2, 1]}}."""

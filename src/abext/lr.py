@@ -21,10 +21,9 @@ all prune incrementally, and positivity queries can stop at the first
 completed filling.  lr_expand counts the fillings of each shape that
 lr_support lists, so it inherits its order, checks and refusals.
 
-Supports and positivity answers are memoized; coefficients, and so the
-multiplicities of an expansion, are computed fresh.  Arguments must be
-canonical partition tuples; any other tuple or a list is refused, checked
-only when the answer is not memoized.
+Only supports are memoized.  Arguments must be canonical partition
+tuples; any other tuple or a list is refused, by lr_support only when the
+answer is not already memoized under an equal key.
 
 Only the filling search recurses, one Python frame per cell.  Fillings of
 more than MAX_DEPTH cells raise ResourceLimitError instead of overflowing
@@ -54,7 +53,6 @@ def lr_coefficient(lam: Partition, nu: Partition, mu: Partition) -> int:
     return _count_fillings(lam, nu, mu, False)
 
 
-@lru_cache(maxsize=None)
 def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
     """True when mu appears in lam . nu.
 

@@ -9,17 +9,28 @@ as types of finite abelian p-groups: Z/p^a1 x ... x Z/p^ar has type
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import zip_longest
 
 Partition = tuple[int, ...]
 
 
 def make_partition(raw: Iterable[int]) -> Partition:
-    """Sort descending and strip zeros; negative entries are rejected."""
-    parts = sorted(raw, reverse=True)
-    if parts and parts[-1] < 0:
-        raise ValueError(f"partition entries must be nonnegative, got {parts[-1]}")
-    return tuple(p for p in parts if p)
+    """Sort descending and strip zeros; reject non-int or negative entries."""
+    parts = list(raw)
+    if not all(isinstance(x, int) and x >= 0 for x in parts):
+        raise ValueError(
+            f"partition entries must be nonnegative integers, got {parts!r}")
+    return tuple(sorted((x for x in parts if x), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n: int, top: int | None = None) -> list[Partition]:
+    """Partitions of n with parts at most top, largest part first."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(n, top or n), 0, -1)
+            for rest in partitions_of(n - first, first)]
 
 
 def parse_partition(text: str) -> Partition:

@@ -12,17 +12,17 @@ target family.  There are three step kinds:
              members.
 
 _outside decides all three per prime, by bitmasks over the target's rows
-(row_mask) or, for closure, over pairs of rows (_reach, whose docstring
-argues that it is exact).  Each (step, target) has one table (_table),
-keyed by plain (p, h_p, k_p) tuples, that groups each key's masks once;
-(p, a, b) and (p, b, a) share one entry.  run_claim does not loop over
-pairs: _zero_pairs joins each left member with all right members at once,
-ANDing per-prime bitsets over (row, right member), and yields only the
-pairs whose shared masks AND to 0, which go on to _outside.  A closure
-pair of two target members is skipped, since its extensions are extensions
-of those two, but counted.
-No test uses a truncated enumeration, so a pass verifies the claim
-restricted to pairs within the window.
+(row_mask) or, for closure, over pairs of rows (_reach, filled from the
+supports of all pairs of one size at once; its docstring argues that it is
+exact).  Each (step, target) has one table (_table), keyed by plain
+(p, h_p, k_p) tuples, that groups each key's masks once; (p, a, b) and
+(p, b, a) share one entry.  run_claim does not loop over pairs: _zero_pairs
+joins each left member with all right members at once, ANDing per-prime
+bitsets over (row, right member), and yields only the pairs whose shared
+masks AND to 0, which go on to _outside.  A closure pair of two target
+members is skipped, since its extensions are extensions of those two, but
+counted.  No test uses a truncated enumeration, so a pass verifies the
+claim restricted to pairs within the window.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -53,8 +53,9 @@ from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        enumerate_family, family_contains, family_product,
                        row_mask)
 from .groups import AbelianGroup
-from .lr import lr_positive, lr_support
-from .partitions import Partition, make_partition, union_merge
+from .lr import lr_support
+from .partitions import (Partition, make_partition, partitions_of, size,
+                         union_merge)
 
 DEFAULT_BOUND = 64
 
@@ -276,10 +277,11 @@ def _table(step: str, target: Family) -> _Options:
     return _Options(step, target)
 
 
-@lru_cache(maxsize=None)
 def _reach(family: Family, p: int, mu: Partition) -> int:
     """Bitmask over row pairs: bit i * len(rows) + j is set when some a, b
     with mu in lr_support(a, b) have rows[i] admitting a and rows[j] b at p.
+    _reach_by_size scatters each pair's support, which loses nothing: mu in
+    lr_support(a, b) already forces a, b inside mu and |a| + |b| = |mu|.
 
     Exact for closure: g is an extension of k by h when every p-part has a
     positive coefficient for (h_p, k_p), which puts h_p and k_p inside g_p
@@ -287,31 +289,26 @@ def _reach(family: Family, p: int, mu: Partition) -> int:
     so g extends members of rows i and j exactly when bit (i, j) survives
     the AND of _reach over the primes of g and of the rows.
     """
-    n, total = len(family.rows), sum(mu)
-    by_size: dict[int, list] = {}
-    for a in _subdiagrams(mu):
-        if m := row_mask(family, p, a):
-            by_size.setdefault(sum(a), []).append((a, m))
-    bits = 0
-    for size, subs in by_size.items():
-        for a, left in subs:
-            for b, right in by_size.get(total - size, ()):
-                # the LR test runs only when it could set a new bit
-                pairs = sum(right << i * n for i in range(n) if left >> i & 1)
-                if pairs & ~bits and lr_positive(a, b, mu):
-                    bits |= pairs
-    return bits
+    return _reach_by_size(family, p, size(mu)).get(mu, 0)
 
 
-def _subdiagrams(outer: Partition) -> tuple[Partition, ...]:
-    """Every partition whose Young diagram lies inside outer, () included."""
-    found, level = [()], [()]
-    for cap in outer:
-        # each new row is at most the row above it and at most its cap
-        level = [d + (x,) for d in level
-                 for x in range(min((cap, *d[-1:])), 0, -1)]
-        found += level
-    return tuple(found)
+@lru_cache(maxsize=None)
+def _reach_by_size(family: Family, p: int, total: int) -> dict:
+    """mu -> _reach(family, p, mu) for the mu of total boxes."""
+    n = len(family.rows)
+    # right * spread is right << i * n summed over the rows i admitting a
+    typed = [[(a, m, sum(1 << i * n for i in range(n) if m >> i & 1))
+              for a in partitions_of(k) if (m := row_mask(family, p, a))]
+             for k in range(total + 1)]
+    reach: dict = {}
+    for k in range(total // 2 + 1):
+        for i, (a, left, ls) in enumerate(typed[k]):
+            # each unordered pair once, in both orders: supports are symmetric
+            for b, right, rs in typed[total - k][i if 2 * k == total else 0:]:
+                pairs = right * ls | left * rs
+                for mu in lr_support(a, b):
+                    reach[mu] = reach.get(mu, 0) | pairs
+    return reach
 
 
 _A1xA1 = family_product(A1, A1, "A1xA1")

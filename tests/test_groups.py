@@ -93,6 +93,9 @@ def test_constructor_validates():
         AbelianGroup({4: (1,)})
     with pytest.raises(ValueError):
         AbelianGroup({2: (-1, 2)})
+    for parts in ([1.5], ["1"], [2.0]):
+        with pytest.raises(ValueError):
+            AbelianGroup({2: parts})
     assert AbelianGroup({2: (0, 1)}).prime_types() == {2: (1,)}
     assert AbelianGroup({2: ()}) == TRIVIAL
 
@@ -101,8 +104,10 @@ def test_json_round_trip():
     g = parse_group("Z/8^2 x Z/4 x Z/6")
     assert g.to_json() == {"primes": {"2": [3, 3, 2, 1], "3": [1]}}
     assert AbelianGroup.from_json(g.to_json()) == g
-    with pytest.raises(ValueError):
-        AbelianGroup.from_json({"parts": {}})
+    for obj in ({"parts": {}}, {"primes": [1, 2]}, {"primes": {"2": 3}},
+                {"primes": {"2": [1.5]}}):
+        with pytest.raises(ValueError):
+            AbelianGroup.from_json(obj)
 
 
 def test_is_prime_and_factorize():

@@ -134,9 +134,14 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     (lr_coefficient, ([2, 1], (1,), (3, 1))),
     (lr_support, ((1, 2), (1,))),
     (lr_support, ((2,), (1, 0))),
+    (lr_support, ((1.5,), (1,))),
+    (lr_support, ((2,), ("1",))),
+    (lr_positive, ((2.0,), (1,), (3,))),
+    (lr_positive, ([1], (1,), (2,))),
 ], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
         "negative-coefficient", "list", "unsorted-support",
-        "zero-entry-support"])
+        "zero-entry-support", "float-support", "str-support",
+        "float-positive", "list-positive"])
 def test_entry_points_reject_non_partitions(call, args):
     with pytest.raises(ValueError):
         call(*args)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -12,15 +13,16 @@ import pytest
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set)
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
-                            enumerate_family, family_contains)
+                            enumerate_family, family_contains, row_mask)
 from abext.groups import TRIVIAL, parse_group
-from abext.partitions import contains
+from abext.lr import lr_positive
+from abext.partitions import contains, size
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
-                          _Options, _outside, _subdiagrams, _table,
-                          _zero_pairs, regression_expansions, run_claim)
+                          _Options, _outside, _reach, _table, _zero_pairs,
+                          regression_expansions, run_claim)
 
 from oracles import (all_abelian_groups_upto, naive_extends_two,
-                     naive_run_claim, partitions_of, partitions_upto)
+                     naive_run_claim, partitions_upto)
 
 
 def test_prop_ext_low_passes():
@@ -157,6 +159,8 @@ _PINNED_SOURCES = {
     ("prop-product-types", 128, 109866), ("thm-second", 128, 78261),
     ("prop-ext-low", 256, 178358), ("thm-main", 256, 320754),
     ("prop-product-types", 256, 450539), ("thm-second", 256, 321011),
+    ("prop-ext-low", 512, 714609), ("thm-main", 512, 1301251),
+    ("prop-product-types", 512, 1828102), ("thm-second", 512, 1303303),
 ])
 def test_claim_reports_are_pinned(claim_id, bound, checked):
     report = CLAIMS[claim_id](bound)
@@ -306,13 +310,22 @@ def test_regression_case_count():
     assert sum(runs.values()) == 75
 
 
-def test_subdiagrams_are_the_contained_partitions():
-    for n in range(11):
-        smaller = list(partitions_upto(n))
-        for mu in partitions_of(n):
-            subs = _subdiagrams(mu)
-            assert len(set(subs)) == len(subs), mu
-            assert set(subs) == {lam for lam in smaller if contains(mu, lam)}
+def test_reach_matches_the_subdiagram_rule():
+    # the reference sets row pairs (i, j) for every a, b inside mu of |mu|
+    # boxes in total that the filling search finds mu in; it shares no code
+    # with the strip traversal that _reach scatters its supports from
+    for family in (A1, A2, A3P, _CORRUPTED_CLOSURE.sweeps[0].target):
+        n = len(family.rows)
+        for p in (2, 3, 5):
+            for mu in partitions_upto(8):
+                subs = [(a, m) for a in partitions_upto(size(mu))
+                        if contains(mu, a) and (m := row_mask(family, p, a))]
+                want = 0
+                for (a, left), (b, right) in itertools.product(subs, subs):
+                    if size(a) + size(b) == size(mu) and lr_positive(a, b, mu):
+                        want |= sum(right << i * n for i in range(n)
+                                    if left >> i & 1)
+                assert _reach(family, p, mu) == want, (family.name, p, mu)
 
 
 def test_sporadic_extension_example():
