@@ -17,9 +17,11 @@ a FamilyPattern compiles these demands, and admits checks them at one p.
 
 A family's rows are its patterns, then its exceptional groups lifted to
 fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
-that admit the p-type parts.  A group is a member exactly when the AND of
-its masks over its primes and the rows' primes is nonzero, and
-enumerate_family lists the group types of the window that pass this test.
+that admit the p-type parts; it is the same at every prime outside the
+rows' primes, which it memoizes as one class, 0.  A group is a member
+exactly when the AND of its masks over its primes and the rows' primes is
+nonzero, and enumerate_family lists the group types of the window that
+pass this test.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -116,8 +118,9 @@ class FamilyPattern:
         rest = len(parts)
         taken = self.fixed.get(p)
         if taken:
-            if not taken <= Counter(parts):
-                return False
+            for e, c in taken.items():
+                if parts.count(e) < c:
+                    return False
             rest -= taken.total()
         return self.mandatory.get(p, 0) <= rest <= self.params
 
@@ -155,9 +158,17 @@ def matches(group: AbelianGroup, pat: FamilyPattern) -> bool:
                for p in {*group.primes, *pat.fixed, *pat.mandatory})
 
 
-@lru_cache(maxsize=None)
 def row_mask(family: Family, p: int, parts: Partition) -> int:
-    """Bitmask of family's rows (bit i for rows[i]) admitting parts at p."""
+    """Bitmask of family's rows (bit i for rows[i]) admitting parts at p.
+
+    Every p outside family.primes is one class, keyed as 0 in the memo:
+    no row fixes or demands a part there, so admits reads only len(parts).
+    """
+    return _row_mask(family, p if p in family.primes else 0, parts)
+
+
+@lru_cache(maxsize=None)
+def _row_mask(family: Family, p: int, parts: Partition) -> int:
     return sum(1 << i for i, row in enumerate(family.rows)
                if row.admits(p, parts))
 

@@ -21,9 +21,9 @@ all prune incrementally, and positivity queries can stop at the first
 completed filling.  lr_expand counts the fillings of each shape that
 lr_support lists, so it inherits its order, checks and refusals.
 
-Only supports are memoized.  Arguments must be canonical partition
-tuples; any other tuple or a list is refused, by lr_support only when the
-answer is not already memoized under an equal key.
+Only supports are memoized, behind the argument checks.  Arguments must
+be canonical partition tuples; any other tuple or a list is refused with
+ValueError.
 
 Only the filling search recurses, one Python frame per cell.  Fillings of
 more than MAX_DEPTH cells raise ResourceLimitError instead of overflowing
@@ -70,11 +70,16 @@ def lr_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
             for mu in lr_support(lam, nu)}
 
 
-@lru_cache(maxsize=None)
 def lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
     """The mu with positive coefficient in lam . nu, in partitions.sort_key
     order: the shapes of lr_expand(lam, nu), without counting fillings."""
     _check_partitions(lam, nu)
+    return _lr_support(lam, nu)
+
+
+@lru_cache(maxsize=None)
+def _lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
+    """lr_support for canonical partition tuples, unchecked and memoized."""
     _check_rows(len(lam) + len(nu))
     _check_cells(size(nu))
     if len(lam) + len(nu) > (lam[0] if lam else 0) + (nu[0] if nu else 0):
@@ -111,18 +116,23 @@ def _strips(shape, limit, n):
         cap = padded[r - 1] - old if r else n
         if limit is None:
             most = n
+        elif r:
+            most = limit[r - 1] if limit[r - 1] < n else n
         else:
-            most = min(limit[r - 1], n) if r else 0
+            most = 0
         grown = []
         for rows, counts, placed in partials:
-            # a row that takes no cell never breaks the lattice rule
-            top = max(min(cap, most - placed), 0)
-            for x in range(max(n - placed - old, 0), top + 1):
+            # placed <= most, which never falls down the rows, so x = 0
+            # stays in range: a row that takes no cell never breaks the
+            # lattice rule
+            top = most - placed if most - placed < cap else cap
+            low = n - placed - old
+            for x in range(low if low > 0 else 0, top + 1):
                 grown.append((rows + (old + x,), counts + (placed + x,),
                               placed + x))
         partials = grown
-    for rows, counts, _ in partials:
-        yield (rows, counts) if rows[-1] else (rows[:-1], counts[:-1])
+    return [(rows, counts) if rows[-1] else (rows[:-1], counts[:-1])
+            for rows, counts, _ in partials]
 
 
 def _check_partitions(*shapes):

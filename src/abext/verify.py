@@ -16,13 +16,18 @@ _outside decides all three per prime, by bitmasks over the target's rows
 supports of all pairs of one size at once; its docstring argues that it is
 exact).  Each (step, target) has one table (_table), keyed by plain
 (p, h_p, k_p) tuples, that groups each key's masks once; (p, a, b) and
-(p, b, a) share one entry.  run_claim does not loop over pairs: _zero_pairs
-joins each left member with all right members at once, ANDing per-prime
-bitsets over (row, right member), and yields only the pairs whose shared
-masks AND to 0, which go on to _outside.  A closure pair of two target
-members is skipped, since its extensions are extensions of those two, but
-counted.  No test uses a truncated enumeration, so a pass verifies the
-claim restricted to pairs within the window.
+(p, b, a) share one entry, and every p outside the target's primes shares
+the entry of class 0, (0, a, b), since no row fixes or demands a part at
+such a p.  run_claim does not loop over pairs: _zero_pairs joins each left
+member with all right members at once, ANDing per-prime bitsets over (row,
+right member), and yields only the pairs whose shared masks AND to 0,
+which go on to _outside.  _outside decides once per table and per sorted
+tuple of the pair's per-prime mask sets whether some choice of one mask
+per prime ANDs to 0, and builds groups, at the pair's real primes, only
+when one does.  A closure pair of two target members is skipped, since its
+extensions are extensions of those two, but counted.  No test uses a
+truncated enumeration, so a pass verifies the claim restricted to pairs
+within the window.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -53,7 +58,7 @@ from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        enumerate_family, family_contains, family_product,
                        row_mask)
 from .groups import AbelianGroup
-from .lr import lr_support
+from .lr import _lr_support, lr_support
 from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)
 
@@ -231,20 +236,33 @@ def _outside(step: str, ht: dict, kt: dict,
     table = _table(step, target)
     primes = tuple(ht.keys() | kt.keys() | target.primes)
     per_prime = [table[p, ht.get(p, ()), kt.get(p, ())] for p in primes]
+    # sorted, not deduplicated: two primes with the same masks can AND to
+    # 0 where one cannot
+    key = tuple(sorted(masks for _, _, masks in per_prime))
+    hit = table.hits.get(key)
+    if hit is None:
+        hit = table.hits[key] = any(
+            not reduce(and_, choice, table.full)
+            for choice in itertools.product(*key))
+    if not hit:
+        return []
     return [AbelianGroup(dict(zip(primes, types)))
-            for combo in itertools.product(*(by for _, by in per_prime))
+            for combo in itertools.product(*(by for _, by, _ in per_prime))
             if not reduce(and_, (m for m, _ in combo), table.full)
             for types in itertools.product(*(mus for _, mus in combo))]
 
 
 class _Options(dict):
-    """(p, a, b) -> (shared, groups) for one step into one target, filled on
-    first lookup: groups pairs each mask (row_mask, or _reach for closure)
-    with the candidate p-types that have it (union_merge for a product,
-    lr_support otherwise), and shared is the AND of the masks.  (p, a, b) and
-    (p, b, a) share one entry, filled once.  Its keys hold no Family, so a
-    lookup hashes only ints and partitions.  full has a bit for every row
-    (every row pair for closure).
+    """(p, a, b) -> (shared, groups, masks) for one step into one target,
+    filled on first lookup: groups pairs each mask (row_mask, or _reach for
+    closure) with the candidate p-types that have it (union_merge for a
+    product, lr_support otherwise), masks lists the distinct masks in
+    ascending order, and shared is their AND.  (p, a, b) and (p, b, a)
+    share one entry, filled once, and so do all p outside target.primes,
+    with (0, a, b).  Its keys hold no Family, so a lookup hashes only ints
+    and partitions.  full has a bit for every row (every row pair for
+    closure).  hits maps the sorted tuple of a pair's per-prime masks to
+    whether some choice of one mask per prime ANDs to 0 (_outside).
     """
 
     def __init__(self, step: str, target: Family):
@@ -252,6 +270,7 @@ class _Options(dict):
         self.step, self.target = step, target
         n = len(target.rows)
         self.full = (1 << (n * n if step == "closure" else n)) - 1
+        self.hits: dict[tuple, bool] = {}
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
@@ -261,13 +280,18 @@ class _Options(dict):
             # depends on mu alone
             self[key] = entry = self[p, b, a]
             return entry
+        if p and p not in self.target.primes:
+            # masks at such a prime do not depend on it (row_mask)
+            self[key] = entry = self[0, a, b]
+            return entry
         mask_of = _reach if self.step == "closure" else row_mask
         by_mask: dict[int, list[Partition]] = {}
         mus = ((union_merge(a, b),) if self.step == "product"
-               else lr_support(a, b))
+               else _lr_support(a, b))
         for mu in mus:
             by_mask.setdefault(mask_of(self.target, p, mu), []).append(mu)
-        self[key] = entry = (reduce(and_, by_mask, -1), tuple(by_mask.items()))
+        self[key] = entry = (reduce(and_, by_mask, -1), tuple(by_mask.items()),
+                             tuple(sorted(by_mask)))
         return entry
 
 
@@ -289,6 +313,7 @@ def _reach(family: Family, p: int, mu: Partition) -> int:
     so g extends members of rows i and j exactly when bit (i, j) survives
     the AND of _reach over the primes of g and of the rows.
     """
+    p = p if p in family.primes else 0
     return _reach_by_size(family, p, size(mu)).get(mu, 0)
 
 
@@ -306,7 +331,7 @@ def _reach_by_size(family: Family, p: int, total: int) -> dict:
             # each unordered pair once, in both orders: supports are symmetric
             for b, right, rs in typed[total - k][i if 2 * k == total else 0:]:
                 pairs = right * ls | left * rs
-                for mu in lr_support(a, b):
+                for mu in _lr_support(a, b):
                     reach[mu] = reach.get(mu, 0) | pairs
     return reach
 

@@ -15,10 +15,11 @@ from abext.families import (A1, A1xA3P, A2, A2xA2, A3P, B1xB3P, B3P, PA4P,
                             FamilyPattern, Slot, TRIPLE,
                             enumerate_family, family_contains, family_product,
                             fixed, get_family, instantiate_pattern, matches,
-                            render_pattern)
+                            render_pattern, row_mask)
 from abext.groups import TRIVIAL, parse_group
 
-from oracles import all_abelian_groups_upto, naive_matches, naive_member
+from oracles import (all_abelian_groups_upto, naive_matches, naive_member,
+                     partitions_upto)
 
 
 def test_slot_validation():
@@ -279,6 +280,20 @@ def test_family_contains_agrees_with_naive_search():
             expected = any(naive_matches(g, pat) for pat in family.patterns)
             assert family_contains(g, family) == expected, \
                 (str(g), family.name)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101])
+def test_row_mask_at_a_prime_outside_the_rows(p):
+    # no row fixes or demands a part at p, so row i admits exactly the
+    # p-types with at most rows[i].params parts; row_mask answers every
+    # such p from one class
+    for family in BUILTIN_FAMILIES.values():
+        if p in family.primes:
+            continue
+        for parts in partitions_upto(6):
+            assert row_mask(family, p, parts) == sum(
+                1 << i for i, row in enumerate(family.rows)
+                if len(parts) <= row.params), (family.name, parts)
 
 
 def test_enumeration_matches_membership_on_universe():

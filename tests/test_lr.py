@@ -138,13 +138,25 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     (lr_support, ((2,), ("1",))),
     (lr_positive, ((2.0,), (1,), (3,))),
     (lr_positive, ([1], (1,), (2,))),
+    (lr_support, ([2, 1], (1,))),
+    (lr_expand, ((1,), [2, 1])),
 ], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
         "negative-coefficient", "list", "unsorted-support",
         "zero-entry-support", "float-support", "str-support",
-        "float-positive", "list-positive"])
+        "float-positive", "list-positive", "list-support", "list-expand"])
 def test_entry_points_reject_non_partitions(call, args):
     with pytest.raises(ValueError):
         call(*args)
+
+
+def test_support_checks_keys_equal_to_memoized_ones():
+    # (2.0,) == (2,) and hashes alike, so a memo consulted before the
+    # checks would answer it
+    assert lr_support((2,), (1,)) == ((3,), (2, 1))
+    with pytest.raises(ValueError):
+        lr_support((2.0,), (1,))
+    with pytest.raises(ValueError):
+        lr_expand((2.0,), (1,))
 
 
 TALL_PAIRS = [

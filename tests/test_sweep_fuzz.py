@@ -1,0 +1,90 @@
+"""Differential fuzz of the sweep over generated families.
+
+Every built-in family has its primes in {2, 3}, so only generated
+families can show a sweep that treats one prime like another: row masks
+and table entries at a prime outside a family's primes are shared by all
+such primes, and a prime inside them must never be taken for one outside.
+Families here draw slots with moduli 5, 7, 9 and 25 and exceptional groups
+at 5 and 7, and each case compares run_claim with the naive sweep of
+tests/oracles.py.
+"""
+
+import itertools
+from functools import reduce
+from operator import and_
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abext.extensions import GroupSet
+from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
+                            enumerate_family, fixed)
+from abext.groups import AbelianGroup, parse_group
+from abext.verify import Claim, Sweep, _outside, _table, run_claim
+
+from oracles import naive_run_claim
+
+SLOTS = [FREE, EVEN, TRIPLE] + [fixed(m) for m in (2, 3, 4, 5, 6, 7, 9, 25)]
+EXCEPTIONAL = ["Z/5^2", "Z/7 x Z/7", "Z/2^3", "Z/3 x Z/9", "Z/10"]
+STEPS = ["extension", "product", "closure"]
+
+# Family.__hash__ is the name's, and the memos of row_mask and of the
+# sweep tables are keyed by family: every generated family gets its own
+_names = itertools.count()
+
+
+def _family(patterns, exceptional):
+    return Family(f"fuzz-{next(_names)}",
+                  tuple(FamilyPattern(tuple(slots)) for slots in patterns),
+                  GroupSet(parse_group(g) for g in exceptional))
+
+
+families = st.builds(
+    _family,
+    st.lists(st.lists(st.sampled_from(SLOTS), min_size=1, max_size=4),
+             min_size=1, max_size=4),
+    st.lists(st.sampled_from(EXCEPTIONAL), max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STEPS), families, families, families,
+       st.sampled_from([8, 12, 16]))
+def test_sweep_matches_naive_sweep(step, left, right, target, bound):
+    claim = Claim("fuzz", (Sweep(step, left, right, target),))
+    report = run_claim(claim, bound)
+    checked, witnesses = naive_run_claim(claim, bound)
+    assert report.checked_pairs == checked
+    assert report.witness_sources == {
+        g: tuple(sorted(pairs)) for g, pairs in witnesses.items()}
+
+
+def _outside_by_choices(step, ht, kt, target):
+    """_outside without its verdict memo: the groups of every choice of one
+    mask per prime that ANDs to 0."""
+    table = _table(step, target)
+    primes = tuple(ht.keys() | kt.keys() | target.primes)
+    per_prime = [table[p, ht.get(p, ()), kt.get(p, ())][1] for p in primes]
+    return [AbelianGroup(dict(zip(primes, types)))
+            for combo in itertools.product(*per_prime)
+            if not reduce(and_, (m for m, _ in combo), table.full)
+            for types in itertools.product(*(mus for _, mus in combo))]
+
+
+# a sweep of the kind the fuzz draws, with members at 2, 3, 5 and 7
+_LEFT = _family([[FREE], [fixed(5), fixed(5)]], ["Z/7 x Z/7"])
+_RIGHT = _family([[EVEN, fixed(7)], [TRIPLE]], ["Z/5^2"])
+_TARGET = _family([[FREE, FREE], [fixed(25), EVEN], [fixed(5), FREE, FREE]],
+                  ["Z/3 x Z/9"])
+
+
+def test_outside_matches_the_choices_on_every_pair():
+    left, right = (enumerate_family(f, 60) for f in (_LEFT, _RIGHT))
+    found = 0
+    for step in STEPS:
+        for h, k in itertools.product(left, right):
+            ht, kt = h.prime_types(), k.prime_types()
+            expected = _outside_by_choices(step, ht, kt, _TARGET)
+            assert _outside(step, ht, kt, _TARGET) == expected, (step, h, k)
+            found += bool(expected)
+    # both verdicts occur
+    assert 0 < found < 3 * len(left) * len(right)

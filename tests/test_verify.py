@@ -12,8 +12,9 @@ import pytest
 
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set)
-from abext.families import (A1, A2, A3P, PA4P, PB4P, Family,
-                            enumerate_family, family_contains, row_mask)
+from abext.families import (A1, A2, A3P, FREE, PA4P, PB4P, Family,
+                            FamilyPattern, enumerate_family, family_contains,
+                            row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import lr_positive
 from abext.partitions import contains, size
@@ -210,6 +211,22 @@ def test_join_matches_per_pair_and(sweep):
         assert len(expected) == len(left) * len(right)
     if sweep.right is _SQUARE:
         assert (parse_group("Z/5^2"), parse_group("Z/4^2 x Z/2")) in expected
+
+
+def test_verdict_memo_keeps_one_mask_set_per_prime():
+    # at 5 and at 7 alike, the p-type (2) has mask 0b01 and (1, 1) has
+    # 0b10: neither prime alone reaches 0, the two primes together do
+    target = Family("verdict-memo", (FamilyPattern((FREE,)),
+                                     FamilyPattern((FREE, FREE))))
+    table = _table("extension", target)
+    assert table.full == 0b11 and not target.primes
+    for p in (5, 7):
+        table[p, (1,), (1,)] = (0, ((0b01, ((2,),)), (0b10, ((1, 1),))),
+                                (0b01, 0b10))
+    assert _outside("extension", {5: (1,)}, {5: (1,)}, target) == []
+    both = {5: (1,), 7: (1,)}
+    assert set(_outside("extension", both, both, target)) == {
+        parse_group("Z/25 x Z/7^2"), parse_group("Z/5^2 x Z/49")}
 
 
 def test_table_entries_are_symmetric():
