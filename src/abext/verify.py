@@ -15,19 +15,20 @@ _outside decides all three per prime, by bitmasks over the target's rows
 (row_mask) or, for closure, over pairs of rows (_reach, filled from the
 supports of all pairs of one size at once; its docstring argues that it is
 exact).  Each (step, target) has one table (_table), keyed by plain
-(p, h_p, k_p) tuples, that groups each key's masks once; (p, a, b) and
-(p, b, a) share one entry, and every p outside the target's primes shares
-the entry of class 0, (0, a, b), since no row fixes or demands a part at
-such a p.  run_claim does not loop over pairs: _zero_pairs joins each left
-member with all right members at once, ANDing per-prime bitsets over (row,
-right member), and yields only the pairs whose shared masks AND to 0,
-which go on to _outside.  _outside decides once per table and per sorted
-tuple of the pair's per-prime mask sets whether some choice of one mask
-per prime ANDs to 0, and builds groups, at the pair's real primes, only
-when one does.  A closure pair of two target members is skipped, since its
-extensions are extensions of those two, but counted.  No test uses a
-truncated enumeration, so a pass verifies the claim restricted to pairs
-within the window.
+(p, h_p, k_p) tuples, whose entry holds only the distinct masks of the
+key's results; (p, a, b) and (p, b, a) share one entry, and every p
+outside the target's primes shares the entry of class 0, (0, a, b), since
+no row fixes or demands a part at such a p.  run_claim does not loop over
+pairs: _zero_pairs joins each left member with all right members at once
+and yields only the pairs whose shared masks (each entry's AND) AND to 0.
+_outside decides once per table and per sorted tuple of the pair's
+entries whether some choice of one mask per prime ANDs to 0, and only
+then builds the results (extension_set or the direct product) and keeps
+those outside the target.  A closure pair of two target members is
+skipped, since its extensions are extensions of those two, but counted.
+No test uses a truncated enumeration, so a pass verifies the claim
+restricted to pairs within the window, whose bound is at most
+MAX_VERIFY_BOUND.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -53,7 +54,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import and_, ge
 
-from .extensions import GroupSet
+from .errors import ResourceLimitError
+from .extensions import GroupSet, extension_set
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        enumerate_family, family_contains, family_product,
                        row_mask)
@@ -63,6 +65,9 @@ from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)
 
 DEFAULT_BOUND = 64
+# claim time grows about fourfold per doubling of the bound: thm-second
+# takes about 25 s at 4096
+MAX_VERIFY_BOUND = 4096
 
 
 @dataclass
@@ -147,8 +152,12 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Run every sweep of claim inside the window and judge the witnesses.
 
     _zero_pairs joins the left members with the right ones, and only a pair
-    whose shared masks AND to 0 goes on to _outside.
+    whose shared masks AND to 0 goes on to _outside.  A bound above
+    MAX_VERIFY_BOUND raises ResourceLimitError before any enumeration.
     """
+    if bound > MAX_VERIFY_BOUND:
+        raise ResourceLimitError(f"verification bound {bound} exceeds the "
+                                 f"limit of {MAX_VERIFY_BOUND}")
     start = time.perf_counter()
     members: dict = {}
     witnesses: dict = {}
@@ -164,7 +173,9 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
         checked += len(left) * len(right)
         joins = [(left, right)]
         if step == "closure":
-            # extensions of two target members are never witnesses
+            # extensions of two target members are never witnesses; the
+            # split only skips work, but joined, those pairs fill closure
+            # entries that cost time and memory at large windows
             held = {g for g, _ in left + right if family_contains(g, target)}
             joins = [([e for e in left if e[0] not in held], right),
                      ([e for e in left if e[0] in held],
@@ -179,7 +190,7 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
 
 def _zero_pairs(step: str, target: Family, left: list, right: list):
     """The pairs ((h, ht), (k, kt)) of left x right, given as (group, prime
-    types), whose shared masks (_Options) AND to 0 over the primes.
+    types), whose shared masks (each _Options entry's AND) AND to 0.
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
@@ -211,7 +222,7 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
             if (p, a) not in lanes:
                 lane = 0
                 for v, bits in cols.get(p, {(): every}).items():
-                    shared = table[p, a, v][0]
+                    shared = reduce(and_, table[p, a, v])
                     for r in range(n):
                         if shared >> r & 1:
                             lane |= bits << r * m
@@ -229,16 +240,16 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
 
 def _outside(step: str, ht: dict, kt: dict,
              target: Family) -> list[AbelianGroup]:
-    """The results of step on (h, k), given by their prime types, that fail
-    the target test: those whose masks (_Options) AND to 0 over the primes.
-    None can unless the shared masks do too, as for the pairs of _zero_pairs.
+    """The results of step on (h, k), given by their prime types, whose
+    masks (_Options) AND to 0 over the primes: the pair's entries decide,
+    once per mask class (hits), whether to build them at all.
     """
     table = _table(step, target)
-    primes = tuple(ht.keys() | kt.keys() | target.primes)
-    per_prime = [table[p, ht.get(p, ()), kt.get(p, ())] for p in primes]
+    primes = ht.keys() | kt.keys() | target.primes
     # sorted, not deduplicated: two primes with the same masks can AND to
     # 0 where one cannot
-    key = tuple(sorted(masks for _, _, masks in per_prime))
+    key = tuple(sorted(table[p, ht.get(p, ()), kt.get(p, ())]
+                       for p in primes))
     hit = table.hits.get(key)
     if hit is None:
         hit = table.hits[key] = any(
@@ -246,28 +257,29 @@ def _outside(step: str, ht: dict, kt: dict,
             for choice in itertools.product(*key))
     if not hit:
         return []
-    return [AbelianGroup(dict(zip(primes, types)))
-            for combo in itertools.product(*(by for _, by, _ in per_prime))
-            if not reduce(and_, (m for m, _ in combo), table.full)
-            for types in itertools.product(*(mus for _, mus in combo))]
+    h, k = AbelianGroup(ht), AbelianGroup(kt)
+    return [g for g in ((h.direct_product(k),) if step == "product"
+                        else extension_set(h, k))
+            if not reduce(and_, (table.mask_of(target, p, g.p_part(p))
+                                 for p in primes), table.full)]
 
 
 class _Options(dict):
-    """(p, a, b) -> (shared, groups, masks) for one step into one target,
-    filled on first lookup: groups pairs each mask (row_mask, or _reach for
-    closure) with the candidate p-types that have it (union_merge for a
-    product, lr_support otherwise), masks lists the distinct masks in
-    ascending order, and shared is their AND.  (p, a, b) and (p, b, a)
-    share one entry, filled once, and so do all p outside target.primes,
-    with (0, a, b).  Its keys hold no Family, so a lookup hashes only ints
-    and partitions.  full has a bit for every row (every row pair for
-    closure).  hits maps the sorted tuple of a pair's per-prime masks to
-    whether some choice of one mask per prime ANDs to 0 (_outside).
+    """(p, a, b) -> the distinct masks, ascending, of the results of step on
+    p-types a and b (union_merge for a product, lr_support otherwise), for
+    one step into one target, filled on first lookup.  mask_of gives each
+    result's mask: row_mask, or _reach for closure.  (p, a, b) and
+    (p, b, a) share one entry, filled once, and so do all p outside
+    target.primes, with (0, a, b).  Its keys hold no Family, so a lookup
+    hashes only ints and partitions.  full has a bit for every row (every
+    row pair for closure).  hits maps the sorted tuple of a pair's entries
+    to whether some choice of one mask per prime ANDs to 0 (_outside).
     """
 
     def __init__(self, step: str, target: Family):
         super().__init__()
         self.step, self.target = step, target
+        self.mask_of = _reach if step == "closure" else row_mask
         n = len(target.rows)
         self.full = (1 << (n * n if step == "closure" else n)) - 1
         self.hits: dict[tuple, bool] = {}
@@ -275,8 +287,7 @@ class _Options(dict):
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
         if (p, b, a) in self:
-            # c^mu_ab = c^mu_ba and union_merge is symmetric, so (p, b, a)
-            # lists the same mu in the same sort_key order, and each mask
+            # c^mu_ab = c^mu_ba and union_merge is symmetric, and each mask
             # depends on mu alone
             self[key] = entry = self[p, b, a]
             return entry
@@ -284,14 +295,10 @@ class _Options(dict):
             # masks at such a prime do not depend on it (row_mask)
             self[key] = entry = self[0, a, b]
             return entry
-        mask_of = _reach if self.step == "closure" else row_mask
-        by_mask: dict[int, list[Partition]] = {}
         mus = ((union_merge(a, b),) if self.step == "product"
                else _lr_support(a, b))
-        for mu in mus:
-            by_mask.setdefault(mask_of(self.target, p, mu), []).append(mu)
-        self[key] = entry = (reduce(and_, by_mask, -1), tuple(by_mask.items()),
-                             tuple(sorted(by_mask)))
+        self[key] = entry = tuple(sorted(
+            {self.mask_of(self.target, p, mu) for mu in mus}))
         return entry
 
 

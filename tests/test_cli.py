@@ -234,22 +234,30 @@ def test_enumerate(capsys):
         "1", "Z/2", "Z/3", "Z/2^2", "Z/4", "Z/5", "Z/6", "Z/7", "Z/8"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--family", "A1", "--bound", "438640"],
-    ["enumerate", "--family", "A1", "--bound", "2000000"],
-    ["enumerate", "--family", "A1", "--bound", str(10 ** 30)],
-    ["verify", "thm-main", "--bound", str(10 ** 30)],
-], ids=["enumerate-first", "enumerate", "enumerate-huge", "verify-huge"])
-def test_bound_past_limit_exits_at_once(capsys, argv):
-    # the bound is compared with families.MAX_ENUMERATION_BOUND before any
-    # walk; 438,640 is the first bound whose window holds more than
-    # MAX_ENUMERATION group types
+_ENUMERATION_LIMIT = ("family enumeration exceeded the limit of 1000000 "
+                      "group types")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--family", "A1", "--bound", "438640"], _ENUMERATION_LIMIT),
+    (["enumerate", "--family", "A1", "--bound", "2000000"],
+     _ENUMERATION_LIMIT),
+    (["enumerate", "--family", "A1", "--bound", str(10 ** 30)],
+     _ENUMERATION_LIMIT),
+    (["verify", "thm-main", "--bound", "4097"],
+     "verification bound 4097 exceeds the limit of 4096"),
+    (["verify", "thm-main", "--bound", str(10 ** 30)],
+     f"verification bound {10 ** 30} exceeds the limit of 4096"),
+], ids=["enumerate-first", "enumerate", "enumerate-huge", "verify-first",
+        "verify-huge"])
+def test_bound_past_limit_exits_at_once(capsys, argv, message):
+    # the bound is compared with families.MAX_ENUMERATION_BOUND (438,640 is
+    # the first bound whose window holds more than MAX_ENUMERATION group
+    # types), or for verify with verify.MAX_VERIFY_BOUND, before any walk
     start = time.perf_counter()
     assert run(argv) == 3
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == (
-        "abext: resource limit: family enumeration exceeded the limit of "
-        "1000000 group types\n")
+    assert capsys.readouterr().err == f"abext: resource limit: {message}\n"
 
 
 def test_verify_text_report(capsys):

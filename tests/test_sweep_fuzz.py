@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from abext.extensions import GroupSet
 from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
-                            enumerate_family, fixed)
+                            enumerate_family, fixed, row_mask)
 from abext.groups import AbelianGroup, parse_group
-from abext.verify import Claim, Sweep, _outside, _table, run_claim
+from abext.lr import _lr_support
+from abext.partitions import union_merge
+from abext.verify import Claim, Sweep, _outside, _reach, run_claim
 
 from oracles import naive_run_claim
 
@@ -59,15 +61,22 @@ def test_sweep_matches_naive_sweep(step, left, right, target, bound):
 
 
 def _outside_by_choices(step, ht, kt, target):
-    """_outside without its verdict memo: the groups of every choice of one
-    mask per prime that ANDs to 0."""
-    table = _table(step, target)
+    """_outside without its table or verdict memo: the groups of every
+    choice of one candidate p-type per prime whose masks AND to 0, in
+    witness order."""
+    mask_of = _reach if step == "closure" else row_mask
+    n = len(target.rows)
+    full = (1 << (n * n if step == "closure" else n)) - 1
     primes = tuple(ht.keys() | kt.keys() | target.primes)
-    per_prime = [table[p, ht.get(p, ()), kt.get(p, ())][1] for p in primes]
-    return [AbelianGroup(dict(zip(primes, types)))
-            for combo in itertools.product(*per_prime)
-            if not reduce(and_, (m for m, _ in combo), table.full)
-            for types in itertools.product(*(mus for _, mus in combo))]
+    per_prime = []
+    for p in primes:
+        a, b = ht.get(p, ()), kt.get(p, ())
+        mus = (union_merge(a, b),) if step == "product" else _lr_support(a, b)
+        per_prime.append([(mask_of(target, p, mu), mu) for mu in mus])
+    return sorted((AbelianGroup(dict(zip(primes, (mu for _, mu in combo))))
+                   for combo in itertools.product(*per_prime)
+                   if not reduce(and_, (m for m, _ in combo), full)),
+                  key=AbelianGroup.sort_key)
 
 
 # a sweep of the kind the fuzz draws, with members at 2, 3, 5 and 7

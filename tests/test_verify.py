@@ -10,11 +10,12 @@ from operator import and_
 
 import pytest
 
+from abext import verify
+from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set)
-from abext.families import (A1, A2, A3P, FREE, PA4P, PB4P, Family,
-                            FamilyPattern, enumerate_family, family_contains,
-                            row_mask)
+from abext.families import (A1, A2, A3P, PA4P, PB4P, Family, FamilyPattern,
+                            enumerate_family, family_contains, fixed, row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import lr_positive
 from abext.partitions import contains, size
@@ -179,9 +180,13 @@ def _zero_pairs_by_loop(step, target, left, right):
     """The pairs of left x right whose shared masks AND to 0, pair by pair:
     the reference for the join in _zero_pairs."""
     table = _table(step, target)
+
+    def shared(p, ht, kt):
+        return reduce(and_, table[p, ht.get(p, ()), kt.get(p, ())], table.full)
+
     return {(h, k) for h, ht in left for k, kt in right
-            if not reduce(and_, (table[p, ht.get(p, ()), kt.get(p, ())][0]
-                                 for p in ht.keys() | kt.keys() | target.primes),
+            if not reduce(and_, (shared(p, ht, kt) for p in
+                                 ht.keys() | kt.keys() | target.primes),
                           table.full)}
 
 
@@ -214,31 +219,62 @@ def test_join_matches_per_pair_and(sweep):
 
 
 def test_verdict_memo_keeps_one_mask_set_per_prime():
-    # at 5 and at 7 alike, the p-type (2) has mask 0b01 and (1, 1) has
-    # 0b10: neither prime alone reaches 0, the two primes together do
-    target = Family("verdict-memo", (FamilyPattern((FREE,)),
-                                     FamilyPattern((FREE, FREE))))
+    # at 5 and at 7 alike, the p-type (2) is admitted by row 0 alone and
+    # (1, 1) by row 1 alone: neither prime alone reaches 0, the two primes
+    # together do, so a memo key that deduplicates the entries finds nothing
+    target = Family("verdict-memo", (FamilyPattern((fixed(1225),)),
+                                     FamilyPattern((fixed(35), fixed(35)))))
     table = _table("extension", target)
-    assert table.full == 0b11 and not target.primes
-    for p in (5, 7):
-        table[p, (1,), (1,)] = (0, ((0b01, ((2,),)), (0b10, ((1, 1),))),
-                                (0b01, 0b10))
-    assert _outside("extension", {5: (1,)}, {5: (1,)}, target) == []
+    assert table.full == 0b11 and target.primes == {5, 7}
     both = {5: (1,), 7: (1,)}
-    assert set(_outside("extension", both, both, target)) == {
-        parse_group("Z/25 x Z/7^2"), parse_group("Z/5^2 x Z/49")}
+    for p in (5, 7):
+        assert table[p, (1,), (1,)] == (0b01, 0b10)
+    assert [str(g) for g in _outside("extension", both, both, target)] == [
+        "Z/175 x Z/7", "Z/245 x Z/5"]
 
 
 def test_table_entries_are_symmetric():
     # _Options stores one entry for (p, a, b) and (p, b, a); each side is
-    # computed here in a table of its own
+    # computed here in a table of its own.  Every entry is masks alone:
+    # an ascending tuple of distinct ints
     for claim in CLAIM_TABLE:
         run_claim(claim, 64)
     for step, target in {(s.step, s.target) for claim in CLAIM_TABLE
                          for s in claim.sweeps}:
-        for p, a, b in list(_table(step, target)):
+        for (p, a, b), entry in list(_table(step, target).items()):
+            assert type(entry) is tuple and entry, (step, p, a, b)
+            assert all(type(m) is int for m in entry), (step, p, a, b)
+            assert list(entry) == sorted(set(entry)), (step, p, a, b)
             assert (_Options(step, target)[p, a, b]
                     == _Options(step, target)[p, b, a]), (step, p, a, b)
+
+
+@pytest.mark.parametrize("claim_id", ["prop-product-types",
+                                      "corrupted-closure"])
+def test_closure_split_only_skips_work(claim_id):
+    # run_claim joins no closure pair of two target members; _outside
+    # finds nothing on any of them, those _zero_pairs yields among them
+    sweep = next(s for s in _CLAIMS_BY_ID[claim_id].sweeps
+                 if s.step == "closure")
+    held = [[(g, g.prime_types()) for g in enumerate_family(f, 64)
+             if family_contains(g, sweep.target)]
+            for f in (sweep.left, sweep.right)]
+    for (h, ht), (k, kt) in itertools.product(*held):
+        assert _outside("closure", ht, kt, sweep.target) == [], (h, k)
+    if claim_id == "prop-product-types":
+        assert len(held[0]) * len(held[1]) > 1000
+
+
+def test_verify_bound_limit(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_VERIFY_BOUND", 16)
+    assert CLAIMS["prop-ext-low"](16).verdict == "pass"
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        CLAIMS["thm-main"](17)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "verification bound 17 exceeds the limit of 16"
+    # the regression vectors are fixed, so their bound is only recorded
+    assert regression_expansions(10 ** 9).verdict == "pass"
 
 
 def test_closure_search_matches_window_search():
