@@ -119,13 +119,13 @@ class AbelianGroup:
 
     def __init__(self, types: Mapping[int, Iterable[int]]):
         items = []
-        for p in sorted(types):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+        for p in types:
+            if type(p) is not int or not is_prime(p):
+                raise ValueError(f"{p!r} is not prime")
             parts = make_partition(types[p])
             if parts:
                 items.append((p, parts))
-        self._types = tuple(items)
+        self._types = tuple(sorted(items))
         self._order = prod(p ** sum(parts) for p, parts in items)
         self._hash = hash(self._types)
         self._str = None

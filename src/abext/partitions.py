@@ -18,7 +18,7 @@ Partition = tuple[int, ...]
 def make_partition(raw: Iterable[int]) -> Partition:
     """Sort descending and strip zeros; reject non-int or negative entries."""
     parts = list(raw)
-    if not all(isinstance(x, int) and x >= 0 for x in parts):
+    if not all(type(x) is int and x >= 0 for x in parts):
         raise ValueError(
             f"partition entries must be nonnegative integers, got {parts!r}")
     return tuple(sorted((x for x in parts if x), reverse=True))

@@ -11,21 +11,19 @@ target family.  There are three step kinds:
   closure    every extension of the pair is an extension of two target
              members.
 
-_outside decides all three per prime, by bitmasks over the target's rows
-(row_mask) or, for closure, over pairs of rows (_reach, filled from the
-supports of all pairs of one size at once; its docstring argues that it is
-exact).  Each (step, target) has one table (_table), keyed by plain
-(p, h_p, k_p) tuples, whose entry holds only the distinct masks of the
-key's results; (p, a, b) and (p, b, a) share one entry, and every p
+_zero_pairs decides all three per prime, by bitmasks over the target's
+rows (row_mask) or, for closure, over pairs of rows (_reach, filled from
+the supports of all pairs of one size at once; its docstring argues that
+it is exact).  Each (step, target) has one table (_table), keyed by plain
+(p, h_p, k_p) tuples, whose entry holds only the inclusion-minimal masks
+of the key's results; (p, a, b) and (p, b, a) share one entry, and every p
 outside the target's primes shares the entry of class 0, (0, a, b), since
 no row fixes or demands a part at such a p.  run_claim does not loop over
 pairs: _zero_pairs joins each left member with all right members at once
-and yields only the pairs whose shared masks (each entry's AND) AND to 0.
-_outside decides once per table and per sorted tuple of the pair's
-entries whether some choice of one mask per prime ANDs to 0, and only
-then builds the results (extension_set or the direct product) and keeps
-those outside the target.  A closure pair of two target members is
-skipped, since its extensions are extensions of those two, but counted.
+and yields exactly the pairs where one mask per prime can AND to 0, and
+_outside builds only their results (extension_set or the direct product)
+and keeps those outside the target.  A closure pair of two target members
+is skipped, since its extensions are extensions of those two, but counted.
 No test uses a truncated enumeration, so a pass verifies the claim
 restricted to pairs within the window, whose bound is at most
 MAX_VERIFY_BOUND.
@@ -66,7 +64,7 @@ from .partitions import (Partition, make_partition, partitions_of, size,
 
 DEFAULT_BOUND = 64
 # claim time grows about fourfold per doubling of the bound: thm-second
-# takes about 25 s at 4096
+# takes about 11 s at 4096
 MAX_VERIFY_BOUND = 4096
 
 
@@ -151,8 +149,8 @@ class Claim:
 def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Run every sweep of claim inside the window and judge the witnesses.
 
-    _zero_pairs joins the left members with the right ones, and only a pair
-    whose shared masks AND to 0 goes on to _outside.  A bound above
+    _zero_pairs joins the left members with the right ones and yields only
+    the pairs that have a witness, which _outside builds.  A bound above
     MAX_VERIFY_BOUND raises ResourceLimitError before any enumeration.
     """
     if bound > MAX_VERIFY_BOUND:
@@ -190,16 +188,18 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
 
 def _zero_pairs(step: str, target: Family, left: list, right: list):
     """The pairs ((h, ht), (k, kt)) of left x right, given as (group, prime
-    types), whose shared masks (each _Options entry's AND) AND to 0.
+    types), that have a witness: some choice of one mask per prime from
+    their _Options entries ANDs to 0.
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
-    () for the members that lack p.  lanes[p, a] has bit r * m + j set when
-    row r (row pair for closure) is in the shared mask of (a, v_j) at p.
-    ANDing h's lanes over the primes leaves bit r * m + j exactly when row
-    r survives every prime for the pair (h, right[j]), and folding the rows
-    together leaves the right members that some row admits.  A prime that
-    neither member has outside target.primes has the full mask (every row
+    () for the members that lack p.  Every choice of masks for the pair
+    (h, right[j]) lies in some vector of lanes (_lanes), one per prime.
+    ANDing a vector leaves bit r * m + j exactly when row r (row pair for
+    closure) survives that choice, and folding the rows together leaves
+    the right members that some row admits.  A prime h lacks has one lane
+    (lr_support((), v) is (v,)), ANDed into x once.  A prime that neither
+    member has outside target.primes has the one full mask (every row
     admits (), and lr_support((), ()) is ((),)), so it ANDs in nothing.
     """
     table = _table(step, target)
@@ -213,50 +213,50 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     for col in cols.values():
         if lack := every - sum(col.values()):
             col[()] = lack
+    bare = {p: _lanes(table, p, (), col, m)[0] for p, col in cols.items()}
     lanes: dict = {}
     for entry in left:
         ht = entry[1]
-        x = (1 << n * m) - 1
-        for p in cols.keys() | ht.keys():
-            a = ht.get(p, ())
+        x = reduce(and_, map(bare.get, cols.keys() - ht.keys()),
+                   (1 << n * m) - 1)
+        for p, a in ht.items():
             if (p, a) not in lanes:
-                lane = 0
-                for v, bits in cols.get(p, {(): every}).items():
-                    shared = reduce(and_, table[p, a, v])
-                    for r in range(n):
-                        if shared >> r & 1:
-                            lane |= bits << r * m
-                lanes[p, a] = lane
-            x &= lanes[p, a]
-        alive = 0
-        for r in range(n):
-            alive |= x >> r * m
-        dead = every & ~alive
+                lanes[p, a] = _lanes(table, p, a, cols.get(p, {(): every}), m)
+        dead = 0
+        for vector in itertools.product(*(lanes[p, a] for p, a in ht.items())):
+            y = reduce(and_, vector, x)
+            alive = 0
+            for r in range(n):
+                alive |= y >> r * m
+            dead |= every & ~alive
         while dead:
             low = dead & -dead
             yield entry, right[low.bit_length() - 1]
             dead ^= low
 
 
+def _lanes(table: _Options, p: int, a: Partition, col: dict, m: int):
+    """One lane per choice index c below the longest entry (a, v) over the
+    p-types v of col: bit r * m + j is set when row r is in the c-th mask
+    of (a, v_j), or in its last mask when it has fewer."""
+    entries = [(bits, table[p, a, v]) for v, bits in col.items()]
+    lanes = [0] * max((len(e) for _, e in entries), default=1)
+    for c in range(len(lanes)):
+        for bits, e in entries:
+            mask = e[min(c, len(e) - 1)]
+            for r in range(mask.bit_length()):
+                if mask >> r & 1:
+                    lanes[c] |= bits << r * m
+    return lanes
+
+
 def _outside(step: str, ht: dict, kt: dict,
              target: Family) -> list[AbelianGroup]:
     """The results of step on (h, k), given by their prime types, whose
-    masks (_Options) AND to 0 over the primes: the pair's entries decide,
-    once per mask class (hits), whether to build them at all.
-    """
+    masks (row_mask, or _reach for closure) AND to 0 over the primes.  The
+    sweep calls it only on the pairs that _zero_pairs yields."""
     table = _table(step, target)
     primes = ht.keys() | kt.keys() | target.primes
-    # sorted, not deduplicated: two primes with the same masks can AND to
-    # 0 where one cannot
-    key = tuple(sorted(table[p, ht.get(p, ()), kt.get(p, ())]
-                       for p in primes))
-    hit = table.hits.get(key)
-    if hit is None:
-        hit = table.hits[key] = any(
-            not reduce(and_, choice, table.full)
-            for choice in itertools.product(*key))
-    if not hit:
-        return []
     h, k = AbelianGroup(ht), AbelianGroup(kt)
     return [g for g in ((h.direct_product(k),) if step == "product"
                         else extension_set(h, k))
@@ -265,15 +265,14 @@ def _outside(step: str, ht: dict, kt: dict,
 
 
 class _Options(dict):
-    """(p, a, b) -> the distinct masks, ascending, of the results of step on
-    p-types a and b (union_merge for a product, lr_support otherwise), for
-    one step into one target, filled on first lookup.  mask_of gives each
-    result's mask: row_mask, or _reach for closure.  (p, a, b) and
-    (p, b, a) share one entry, filled once, and so do all p outside
-    target.primes, with (0, a, b).  Its keys hold no Family, so a lookup
-    hashes only ints and partitions.  full has a bit for every row (every
-    row pair for closure).  hits maps the sorted tuple of a pair's entries
-    to whether some choice of one mask per prime ANDs to 0 (_outside).
+    """(p, a, b) -> the inclusion-minimal masks, ascending, of the
+    results of step on p-types a and b (union_merge for a product,
+    lr_support otherwise), for one step into one target, filled on first
+    lookup.  mask_of gives each result's mask: row_mask, or _reach for
+    closure.  (p, a, b) and (p, b, a) share one entry, filled once, and
+    so do all p outside target.primes, with (0, a, b).  Its keys hold no
+    Family, so a lookup hashes only ints and partitions.  full has a bit
+    for every row (every row pair for closure).
     """
 
     def __init__(self, step: str, target: Family):
@@ -282,7 +281,6 @@ class _Options(dict):
         self.mask_of = _reach if step == "closure" else row_mask
         n = len(target.rows)
         self.full = (1 << (n * n if step == "closure" else n)) - 1
-        self.hits: dict[tuple, bool] = {}
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
@@ -297,8 +295,10 @@ class _Options(dict):
             return entry
         mus = ((union_merge(a, b),) if self.step == "product"
                else _lr_support(a, b))
+        masks = {self.mask_of(self.target, p, mu) for mu in mus}
+        # a mask that contains another never lets a choice reach 0
         self[key] = entry = tuple(sorted(
-            {self.mask_of(self.target, p, mu) for mu in mus}))
+            m for m in masks if not any(o != m and o & m == o for o in masks)))
         return entry
 
 

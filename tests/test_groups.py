@@ -93,9 +93,14 @@ def test_constructor_validates():
         AbelianGroup({4: (1,)})
     with pytest.raises(ValueError):
         AbelianGroup({2: (-1, 2)})
-    for parts in ([1.5], ["1"], [2.0]):
+    for parts in ([1.5], ["1"], [2.0], [True], [True, 1]):
         with pytest.raises(ValueError):
             AbelianGroup({2: parts})
+    # a prime key must be an int: 2.0 would print as Z/2.0
+    for types in ({2.0: [1]}, {3.0: [2]}, {True: [1]}, {"2": [1]},
+                  {2: [1], "3": [1]}):
+        with pytest.raises(ValueError):
+            AbelianGroup(types)
     assert AbelianGroup({2: (0, 1)}).prime_types() == {2: (1,)}
     assert AbelianGroup({2: ()}) == TRIVIAL
 
@@ -105,7 +110,8 @@ def test_json_round_trip():
     assert g.to_json() == {"primes": {"2": [3, 3, 2, 1], "3": [1]}}
     assert AbelianGroup.from_json(g.to_json()) == g
     for obj in ({"parts": {}}, {"primes": [1, 2]}, {"primes": {"2": 3}},
-                {"primes": {"2": [1.5]}}):
+                {"primes": {"2": [1.5]}}, {"primes": {"2": [True, 1]}},
+                {"primes": {"2": [False]}}):
         with pytest.raises(ValueError):
             AbelianGroup.from_json(obj)
 

@@ -136,13 +136,14 @@ def test_coefficient_nonnegative_on_mismatched_shapes():
     (lr_support, ((2,), (1, 0))),
     (lr_support, ((1.5,), (1,))),
     (lr_support, ((2,), ("1",))),
+    (lr_support, ((True,), (1,))),
     (lr_positive, ((2.0,), (1,), (3,))),
     (lr_positive, ([1], (1,), (2,))),
     (lr_support, ([2, 1], (1,))),
     (lr_expand, ((1,), [2, 1])),
 ], ids=["unsorted", "zero-entry", "unsorted-lambda", "negative-expand",
         "negative-coefficient", "list", "unsorted-support",
-        "zero-entry-support", "float-support", "str-support",
+        "zero-entry-support", "float-support", "str-support", "bool-support",
         "float-positive", "list-positive", "list-support", "list-expand"])
 def test_entry_points_reject_non_partitions(call, args):
     with pytest.raises(ValueError):

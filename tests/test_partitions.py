@@ -21,6 +21,13 @@ def test_make_partition_rejects_negative():
         make_partition([2, -1])
 
 
+def test_make_partition_rejects_bools():
+    # True == 1, but a bool is not a part
+    for raw in ([True, 2], [False], [2, 1, True]):
+        with pytest.raises(ValueError):
+            make_partition(raw)
+
+
 def test_size():
     assert size((2, 2, 1)) == 5
     assert size(()) == 0

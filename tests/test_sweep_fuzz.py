@@ -22,7 +22,8 @@ from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import _lr_support
 from abext.partitions import union_merge
-from abext.verify import Claim, Sweep, _outside, _reach, run_claim
+from abext.verify import (Claim, Sweep, _outside, _reach, _zero_pairs,
+                          run_claim)
 
 from oracles import naive_run_claim
 
@@ -61,7 +62,7 @@ def test_sweep_matches_naive_sweep(step, left, right, target, bound):
 
 
 def _outside_by_choices(step, ht, kt, target):
-    """_outside without its table or verdict memo: the groups of every
+    """_outside without its table: the groups of every
     choice of one candidate p-type per prime whose masks AND to 0, in
     witness order."""
     mask_of = _reach if step == "closure" else row_mask
@@ -87,13 +88,19 @@ _TARGET = _family([[FREE, FREE], [fixed(25), EVEN], [fixed(5), FREE, FREE]],
 
 
 def test_outside_matches_the_choices_on_every_pair():
-    left, right = (enumerate_family(f, 60) for f in (_LEFT, _RIGHT))
+    left, right = ([(g, g.prime_types()) for g in enumerate_family(f, 60)]
+                   for f in (_LEFT, _RIGHT))
     found = 0
     for step in STEPS:
-        for h, k in itertools.product(left, right):
-            ht, kt = h.prime_types(), k.prime_types()
+        witnessed = set()
+        for (h, ht), (k, kt) in itertools.product(left, right):
             expected = _outside_by_choices(step, ht, kt, _TARGET)
             assert _outside(step, ht, kt, _TARGET) == expected, (step, h, k)
-            found += bool(expected)
+            if expected:
+                witnessed.add((h, k))
+        # the join yields exactly the pairs that have a witness
+        assert {(h, k) for (h, _), (k, _) in
+                _zero_pairs(step, _TARGET, left, right)} == witnessed, step
+        found += len(witnessed)
     # both verdicts occur
     assert 0 < found < 3 * len(left) * len(right)

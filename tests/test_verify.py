@@ -17,8 +17,8 @@ from abext.extensions import (GroupSet, brute_force_is_extension,
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family, FamilyPattern,
                             enumerate_family, family_contains, fixed, row_mask)
 from abext.groups import TRIVIAL, parse_group
-from abext.lr import lr_positive
-from abext.partitions import contains, size
+from abext.lr import _lr_support, lr_positive
+from abext.partitions import contains, size, union_merge
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
                           _Options, _outside, _reach, _table, _zero_pairs,
                           regression_expansions, run_claim)
@@ -177,17 +177,27 @@ def test_claim_reports_are_pinned(claim_id, bound, checked):
 
 
 def _zero_pairs_by_loop(step, target, left, right):
-    """The pairs of left x right whose shared masks AND to 0, pair by pair:
-    the reference for the join in _zero_pairs."""
-    table = _table(step, target)
+    """The pairs of left x right for which some choice of one mask per prime
+    ANDs to 0, pair by pair, with each result's mask taken from row_mask or
+    _reach and not from the sweep table: the reference for the join in
+    _zero_pairs."""
+    mask_of = _reach if step == "closure" else row_mask
+    n = len(target.rows)
+    full = (1 << (n * n if step == "closure" else n)) - 1
+    memo = {}
 
-    def shared(p, ht, kt):
-        return reduce(and_, table[p, ht.get(p, ()), kt.get(p, ())], table.full)
+    def masks(p, a, b):
+        if (p, a, b) not in memo:
+            mus = ((union_merge(a, b),) if step == "product"
+                   else _lr_support(a, b))
+            memo[p, a, b] = {mask_of(target, p, mu) for mu in mus}
+        return memo[p, a, b]
 
     return {(h, k) for h, ht in left for k, kt in right
-            if not reduce(and_, (shared(p, ht, kt) for p in
-                                 ht.keys() | kt.keys() | target.primes),
-                          table.full)}
+            if any(not reduce(and_, choice, full)
+                   for choice in itertools.product(*(
+                       masks(p, ht.get(p, ()), kt.get(p, ()))
+                       for p in ht.keys() | kt.keys() | target.primes)))}
 
 
 _EMPTY = Family("E", ())
@@ -218,15 +228,19 @@ def test_join_matches_per_pair_and(sweep):
         assert (parse_group("Z/5^2"), parse_group("Z/4^2 x Z/2")) in expected
 
 
-def test_verdict_memo_keeps_one_mask_set_per_prime():
+def test_join_tries_every_choice_of_masks():
     # at 5 and at 7 alike, the p-type (2) is admitted by row 0 alone and
-    # (1, 1) by row 1 alone: neither prime alone reaches 0, the two primes
-    # together do, so a memo key that deduplicates the entries finds nothing
-    target = Family("verdict-memo", (FamilyPattern((fixed(1225),)),
-                                     FamilyPattern((fixed(35), fixed(35)))))
+    # (1, 1) by row 1 alone: neither prime alone reaches 0, and the two
+    # primes reach it only when their choices differ, so a join that takes
+    # one fixed mask per entry finds nothing
+    target = Family("two-choices", (FamilyPattern((fixed(1225),)),
+                                    FamilyPattern((fixed(35), fixed(35)))))
     table = _table("extension", target)
     assert table.full == 0b11 and target.primes == {5, 7}
-    both = {5: (1,), 7: (1,)}
+    z35 = parse_group("Z/35")
+    both = z35.prime_types()
+    assert [(h, k) for (h, _), (k, _) in _zero_pairs(
+        "extension", target, [(z35, both)], [(z35, both)])] == [(z35, z35)]
     for p in (5, 7):
         assert table[p, (1,), (1,)] == (0b01, 0b10)
     assert [str(g) for g in _outside("extension", both, both, target)] == [
@@ -236,7 +250,7 @@ def test_verdict_memo_keeps_one_mask_set_per_prime():
 def test_table_entries_are_symmetric():
     # _Options stores one entry for (p, a, b) and (p, b, a); each side is
     # computed here in a table of its own.  Every entry is masks alone:
-    # an ascending tuple of distinct ints
+    # an ascending tuple of distinct ints, none of which contains another
     for claim in CLAIM_TABLE:
         run_claim(claim, 64)
     for step, target in {(s.step, s.target) for claim in CLAIM_TABLE
@@ -245,8 +259,24 @@ def test_table_entries_are_symmetric():
             assert type(entry) is tuple and entry, (step, p, a, b)
             assert all(type(m) is int for m in entry), (step, p, a, b)
             assert list(entry) == sorted(set(entry)), (step, p, a, b)
+            assert not any(o != m and o & m == o for o in entry
+                           for m in entry), (step, p, a, b)
             assert (_Options(step, target)[p, a, b]
                     == _Options(step, target)[p, b, a]), (step, p, a, b)
+
+
+def test_outside_runs_only_on_witness_pairs(monkeypatch):
+    # _zero_pairs decides each pair exactly, so every pair it hands to
+    # _outside has a witness: 3 pairs over the four claims at 64
+    calls, outside = [], verify._outside
+    monkeypatch.setattr(verify, "_outside", lambda *args: calls.append(
+        outside(*args)) or calls[-1])
+    for claim in CLAIM_TABLE:
+        run_claim(claim, 64)
+    assert len(calls) == 3 and all(calls)
+    for claim in (_CORRUPTED, _PATCHED, _CORRUPTED_CLOSURE):
+        assert run_claim(claim, 64).witnesses
+    assert len(calls) > 3 and all(calls)
 
 
 @pytest.mark.parametrize("claim_id", ["prop-product-types",
