@@ -20,8 +20,9 @@ fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
 that admit the p-type parts; it is the same at every prime outside the
 rows' primes, which it memoizes as one class, 0.  A group is a member
 exactly when the AND of its masks over its primes and the rows' primes is
-nonzero, and enumerate_family lists the group types of the window that
-pass this test.
+nonzero.  _member_types walks the group types of the window that pass
+this test; enumerate_family builds a group from each, while the sweep
+reads the types themselves.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -211,18 +212,23 @@ def _slot_key(slot: Slot):
 
 
 def enumerate_family(family: Family, order_bound: int) -> GroupSet:
-    """Every member with order at most order_bound: each group type of the
-    window that the family admits.  Raises ResourceLimitError before the
-    walk when order_bound passes MAX_ENUMERATION_BOUND, that is, when the
-    window holds more than MAX_ENUMERATION group types.
+    """Every member with order at most order_bound: a group for each type
+    that _member_types yields.  Raises ResourceLimitError before the walk
+    when order_bound passes MAX_ENUMERATION_BOUND, that is, when the window
+    holds more than MAX_ENUMERATION group types.
     """
-    if order_bound < 1:
+    return GroupSet(map(AbelianGroup, _member_types(family, order_bound)))
+
+
+def _member_types(family: Family, bound: int) -> Iterator[dict]:
+    """The group types of order 1 .. bound that family admits, as {prime:
+    partition}, walked lazily; the bound is checked at the call."""
+    if bound < 1:
         raise ValueError("order bound must be >= 1")
-    if order_bound > MAX_ENUMERATION_BOUND:
+    if bound > MAX_ENUMERATION_BOUND:
         raise ResourceLimitError(f"family enumeration exceeded the limit of "
                                  f"{MAX_ENUMERATION} group types")
-    return GroupSet(AbelianGroup(types) for types in _group_types(order_bound)
-                    if _admits(family, types))
+    return (types for types in _group_types(bound) if _admits(family, types))
 
 
 def _group_types(bound: int) -> Iterator[dict[int, Partition]]:

@@ -176,6 +176,8 @@ class AbelianGroup:
         if (not isinstance(primes, dict) or set(obj) != {"primes"}
                 or not all(isinstance(v, list) for v in primes.values())):
             raise ValueError("expected an object of the form {'primes': {...}}")
+        if any(str(int(p)) != p for p in primes):
+            raise ValueError("prime keys must be written as plain decimals")
         return cls({int(p): parts for p, parts in primes.items()})
 
     def to_json(self) -> dict:

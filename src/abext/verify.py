@@ -18,15 +18,16 @@ it is exact).  Each (step, target) has one table (_table), keyed by plain
 (p, h_p, k_p) tuples, whose entry holds only the inclusion-minimal masks
 of the key's results; (p, a, b) and (p, b, a) share one entry, and every p
 outside the target's primes shares the entry of class 0, (0, a, b), since
-no row fixes or demands a part at such a p.  run_claim does not loop over
-pairs: _zero_pairs joins each left member with all right members at once
-and yields exactly the pairs where one mask per prime can AND to 0, and
-_outside builds only their results (extension_set or the direct product)
-and keeps those outside the target.  A closure pair of two target members
-is skipped, since its extensions are extensions of those two, but counted.
-No test uses a truncated enumeration, so a pass verifies the claim
-restricted to pairs within the window, whose bound is at most
-MAX_VERIFY_BOUND.
+no row fixes or demands a part at such a p.  run_claim reads members as
+prime types from families._member_types and does not loop over pairs:
+_zero_pairs joins each left member with all right members at once and
+yields exactly the pairs where one mask per prime can AND to 0; only
+those become groups, and _outside builds their results (extension_set or
+the direct product) and keeps those outside the target.  A closure pair
+of two target members is skipped, since its extensions are extensions of
+those two, but counted.  No test uses a truncated enumeration, so a pass
+verifies the claim restricted to pairs within the window, whose bound is
+at most MAX_VERIFY_BOUND.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import and_, ge
@@ -55,8 +55,7 @@ from operator import and_, ge
 from .errors import ResourceLimitError
 from .extensions import GroupSet, extension_set
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
-                       enumerate_family, family_contains, family_product,
-                       row_mask)
+                       _admits, _member_types, family_product, row_mask)
 from .groups import AbelianGroup
 from .lr import _lr_support, lr_support
 from .partitions import (Partition, make_partition, partitions_of, size,
@@ -78,7 +77,6 @@ class VerificationReport:
     witnesses: GroupSet
     verdict: str
     vacuous: bool
-    elapsed: float
     witness_sources: dict = field(default_factory=dict, repr=False)
     details: tuple[str, ...] = ()
 
@@ -99,7 +97,7 @@ class VerificationReport:
         }
 
 
-def _finalize(claim_id, bound, checked, witnesses, expected, start,
+def _finalize(claim_id, bound, checked, witnesses, expected,
               details=()) -> VerificationReport:
     # expected maps each anticipated witness to the smallest window bound
     # whose sweep produces it
@@ -118,7 +116,6 @@ def _finalize(claim_id, bound, checked, witnesses, expected, start,
         witnesses=found,
         verdict="fail" if fail else "pass",
         vacuous=vacuous,
-        elapsed=time.perf_counter() - start,
         witness_sources=sources,
         details=tuple(details),
     )
@@ -149,23 +146,21 @@ class Claim:
 def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
     """Run every sweep of claim inside the window and judge the witnesses.
 
-    _zero_pairs joins the left members with the right ones and yields only
-    the pairs that have a witness, which _outside builds.  A bound above
+    _zero_pairs joins the left members, read as prime types, with the right
+    ones and yields only the pairs that have a witness; only those become
+    groups, with the results _outside builds.  A bound above
     MAX_VERIFY_BOUND raises ResourceLimitError before any enumeration.
     """
     if bound > MAX_VERIFY_BOUND:
         raise ResourceLimitError(f"verification bound {bound} exceeds the "
                                  f"limit of {MAX_VERIFY_BOUND}")
-    start = time.perf_counter()
     members: dict = {}
     witnesses: dict = {}
     checked = 0
     for sweep in claim.sweeps:
         for family in (sweep.left, sweep.right):
             if family not in members:
-                # a plain list: GroupSet iteration sorts on every pass
-                members[family] = [(g, g.prime_types())
-                                   for g in enumerate_family(family, bound)]
+                members[family] = list(_member_types(family, bound))
         step, target = sweep.step, sweep.target
         left, right = members[sweep.left], members[sweep.right]
         checked += len(left) * len(right)
@@ -174,30 +169,30 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
             # extensions of two target members are never witnesses; the
             # split only skips work, but joined, those pairs fill closure
             # entries that cost time and memory at large windows
-            held = {g for g, _ in left + right if family_contains(g, target)}
-            joins = [([e for e in left if e[0] not in held], right),
-                     ([e for e in left if e[0] in held],
-                      [e for e in right if e[0] not in held])]
+            held = partial(_admits, target)
+            joins = [([t for t in left if not held(t)], right),
+                     ([t for t in left if held(t)],
+                      [t for t in right if not held(t)])]
         for lhs, rhs in joins:
-            for (h, ht), (k, kt) in _zero_pairs(step, target, lhs, rhs):
+            for ht, kt in _zero_pairs(step, target, lhs, rhs):
+                pair = AbelianGroup(ht), AbelianGroup(kt)
                 for g in _outside(step, ht, kt, target):
-                    witnesses.setdefault(g, set()).add((h, k))
-    return _finalize(claim.claim_id, bound, checked, witnesses,
-                     claim.expected, start)
+                    witnesses.setdefault(g, set()).add(pair)
+    return _finalize(claim.claim_id, bound, checked, witnesses, claim.expected)
 
 
 def _zero_pairs(step: str, target: Family, left: list, right: list):
-    """The pairs ((h, ht), (k, kt)) of left x right, given as (group, prime
-    types), that have a witness: some choice of one mask per prime from
-    their _Options entries ANDs to 0.
+    """The pairs (ht, kt) of left x right, given as prime types, that have
+    a witness: some choice of one mask per prime from their _Options
+    entries ANDs to 0.
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
     () for the members that lack p.  Every choice of masks for the pair
-    (h, right[j]) lies in some vector of lanes (_lanes), one per prime.
+    (ht, right[j]) lies in some vector of lanes (_lanes), one per prime.
     ANDing a vector leaves bit r * m + j exactly when row r (row pair for
     closure) survives that choice, and folding the rows together leaves
-    the right members that some row admits.  A prime h lacks has one lane
+    the right members that some row admits.  A prime ht lacks has one lane
     (lr_support((), v) is (v,)), ANDed into x once.  A prime that neither
     member has outside target.primes has the one full mask (every row
     admits (), and lr_support((), ()) is ((),)), so it ANDs in nothing.
@@ -206,7 +201,7 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     m, n = len(right), table.full.bit_length()
     every = (1 << m) - 1
     cols: dict = {p: {} for p in target.primes}
-    for j, (_, kt) in enumerate(right):
+    for j, kt in enumerate(right):
         for p, v in kt.items():
             col = cols.setdefault(p, {})
             col[v] = col.get(v, 0) | 1 << j
@@ -215,8 +210,7 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
             col[()] = lack
     bare = {p: _lanes(table, p, (), col, m)[0] for p, col in cols.items()}
     lanes: dict = {}
-    for entry in left:
-        ht = entry[1]
+    for ht in left:
         x = reduce(and_, map(bare.get, cols.keys() - ht.keys()),
                    (1 << n * m) - 1)
         for p, a in ht.items():
@@ -231,7 +225,7 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
             dead |= every & ~alive
         while dead:
             low = dead & -dead
-            yield entry, right[low.bit_length() - 1]
+            yield ht, right[low.bit_length() - 1]
             dead ^= low
 
 
@@ -471,7 +465,6 @@ def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
     The bound is recorded in the report but plays no role; the vectors are
     fixed.  Failures are listed in the report details.
     """
-    start = time.perf_counter()
     checked = 0
     failures = []
     for label, lam, nu, terms in _runs(_EXACT_CASES):
@@ -486,8 +479,7 @@ def regression_expansions(bound: int = DEFAULT_BOUND) -> VerificationReport:
                        and mu[len(low):] == tail and all(map(ge, mu, low))
                        for low, tail in templates):
                 failures.append(f"{label}: {mu} outside the stated shapes")
-    return _finalize("regressions", bound, checked, {}, {}, start,
-                     details=failures)
+    return _finalize("regressions", bound, checked, {}, {}, details=failures)
 
 
 CLAIMS = {claim.claim_id: partial(run_claim, claim) for claim in CLAIM_TABLE}

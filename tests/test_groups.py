@@ -111,7 +111,12 @@ def test_json_round_trip():
     assert AbelianGroup.from_json(g.to_json()) == g
     for obj in ({"parts": {}}, {"primes": [1, 2]}, {"primes": {"2": 3}},
                 {"primes": {"2": [1.5]}}, {"primes": {"2": [True, 1]}},
-                {"primes": {"2": [False]}}):
+                {"primes": {"2": [False]}},
+                # "02" names the prime 2 a second time, and would merge
+                {"primes": {"2": [1], "02": [2]}}, {"primes": {"02": [1]}},
+                {"primes": {" 3": [1]}}, {"primes": {"3 ": [1]}},
+                {"primes": {"+2": [1]}}, {"primes": {"\u0662": [1]}},
+                {"primes": {"1_1": [1]}}):
         with pytest.raises(ValueError):
             AbelianGroup.from_json(obj)
 

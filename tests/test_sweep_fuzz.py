@@ -13,12 +13,12 @@ import itertools
 from functools import reduce
 from operator import and_
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abext.extensions import GroupSet
 from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
-                            enumerate_family, fixed, row_mask)
+                            _member_types, fixed, row_mask)
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import _lr_support
 from abext.partitions import union_merge
@@ -49,9 +49,18 @@ families = st.builds(
     st.lists(st.sampled_from(EXCEPTIONAL), max_size=1))
 
 
+# at 5 and at 7 alike, row 0 alone admits the p-type (2) and row 1 alone
+# (1, 1), so the entry of (1,) x (1,) holds two masks; the extensions of
+# Z/35 by itself leave the target only where the two primes choose
+# differently, which takes an entry's second mask at one of them
+_TWO_ROWS = _family([[fixed(1225)], [fixed(35), fixed(35)]], [])
+_Z35 = _family([], ["Z/35"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(STEPS), families, families, families,
        st.sampled_from([8, 12, 16]))
+@example("extension", _Z35, _Z35, _TWO_ROWS, 35)
 def test_sweep_matches_naive_sweep(step, left, right, target, bound):
     claim = Claim("fuzz", (Sweep(step, left, right, target),))
     report = run_claim(claim, bound)
@@ -87,19 +96,23 @@ _TARGET = _family([[FREE, FREE], [fixed(25), EVEN], [fixed(5), FREE, FREE]],
                   ["Z/3 x Z/9"])
 
 
+def _key(types):
+    """A prime-type map in hashable form, to compare pairs by type."""
+    return tuple(sorted(types.items()))
+
+
 def test_outside_matches_the_choices_on_every_pair():
-    left, right = ([(g, g.prime_types()) for g in enumerate_family(f, 60)]
-                   for f in (_LEFT, _RIGHT))
+    left, right = (list(_member_types(f, 60)) for f in (_LEFT, _RIGHT))
     found = 0
     for step in STEPS:
         witnessed = set()
-        for (h, ht), (k, kt) in itertools.product(left, right):
+        for ht, kt in itertools.product(left, right):
             expected = _outside_by_choices(step, ht, kt, _TARGET)
-            assert _outside(step, ht, kt, _TARGET) == expected, (step, h, k)
+            assert _outside(step, ht, kt, _TARGET) == expected, (step, ht, kt)
             if expected:
-                witnessed.add((h, k))
+                witnessed.add((_key(ht), _key(kt)))
         # the join yields exactly the pairs that have a witness
-        assert {(h, k) for (h, _), (k, _) in
+        assert {(_key(ht), _key(kt)) for ht, kt in
                 _zero_pairs(step, _TARGET, left, right)} == witnessed, step
         found += len(witnessed)
     # both verdicts occur

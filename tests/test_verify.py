@@ -10,12 +10,13 @@ from operator import and_
 
 import pytest
 
-from abext import verify
+from abext import groups, verify
 from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set)
 from abext.families import (A1, A2, A3P, PA4P, PB4P, Family, FamilyPattern,
-                            enumerate_family, family_contains, fixed, row_mask)
+                            _member_types, enumerate_family, family_contains,
+                            fixed, row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import _lr_support, lr_positive
 from abext.partitions import contains, size, union_merge
@@ -176,11 +177,16 @@ def test_claim_reports_are_pinned(claim_id, bound, checked):
         for g, pairs in sources.items()}
 
 
+def _key(types):
+    """A prime-type map in hashable form, to compare pairs by type."""
+    return tuple(sorted(types.items()))
+
+
 def _zero_pairs_by_loop(step, target, left, right):
-    """The pairs of left x right for which some choice of one mask per prime
-    ANDs to 0, pair by pair, with each result's mask taken from row_mask or
-    _reach and not from the sweep table: the reference for the join in
-    _zero_pairs."""
+    """The pairs of left x right, as _key pairs, for which some choice of
+    one mask per prime ANDs to 0, pair by pair, with each result's mask
+    taken from row_mask or _reach and not from the sweep table: the
+    reference for the join in _zero_pairs."""
     mask_of = _reach if step == "closure" else row_mask
     n = len(target.rows)
     full = (1 << (n * n if step == "closure" else n)) - 1
@@ -193,7 +199,7 @@ def _zero_pairs_by_loop(step, target, left, right):
             memo[p, a, b] = {mask_of(target, p, mu) for mu in mus}
         return memo[p, a, b]
 
-    return {(h, k) for h, ht in left for k, kt in right
+    return {(_key(ht), _key(kt)) for ht in left for kt in right
             if any(not reduce(and_, choice, full)
                    for choice in itertools.product(*(
                        masks(p, ht.get(p, ()), kt.get(p, ()))
@@ -213,10 +219,10 @@ _JOIN_SWEEPS = [sweep for claim in _CLAIMS_BY_ID.values()
 @pytest.mark.parametrize("sweep", _JOIN_SWEEPS, ids=lambda s: "-".join(
     (s.step, s.left.name, s.right.name, s.target.name)))
 def test_join_matches_per_pair_and(sweep):
-    left, right = ([(g, g.prime_types()) for g in enumerate_family(f, 64)]
+    left, right = (list(_member_types(f, 64))
                    for f in (sweep.left, sweep.right))
     for rhs in ([], right):
-        joined = [(h, k) for (h, _), (k, _) in
+        joined = [(_key(ht), _key(kt)) for ht, kt in
                   _zero_pairs(sweep.step, sweep.target, left, rhs)]
         expected = _zero_pairs_by_loop(sweep.step, sweep.target, left, rhs)
         assert len(joined) == len(set(joined))
@@ -225,7 +231,8 @@ def test_join_matches_per_pair_and(sweep):
         # no rows, so every pair is outside
         assert len(expected) == len(left) * len(right)
     if sweep.right is _SQUARE:
-        assert (parse_group("Z/5^2"), parse_group("Z/4^2 x Z/2")) in expected
+        assert (_key(parse_group("Z/5^2").prime_types()),
+                _key(parse_group("Z/4^2 x Z/2").prime_types())) in expected
 
 
 def test_join_tries_every_choice_of_masks():
@@ -239,8 +246,8 @@ def test_join_tries_every_choice_of_masks():
     assert table.full == 0b11 and target.primes == {5, 7}
     z35 = parse_group("Z/35")
     both = z35.prime_types()
-    assert [(h, k) for (h, _), (k, _) in _zero_pairs(
-        "extension", target, [(z35, both)], [(z35, both)])] == [(z35, z35)]
+    assert list(_zero_pairs(
+        "extension", target, [both], [both])) == [(both, both)]
     for p in (5, 7):
         assert table[p, (1,), (1,)] == (0b01, 0b10)
     assert [str(g) for g in _outside("extension", both, both, target)] == [
@@ -277,6 +284,27 @@ def test_outside_runs_only_on_witness_pairs(monkeypatch):
     for claim in (_CORRUPTED, _PATCHED, _CORRUPTED_CLOSURE):
         assert run_claim(claim, 64).witnesses
     assert len(calls) > 3 and all(calls)
+
+
+def test_groups_are_built_only_for_witness_pairs(monkeypatch):
+    # members are read as prime types; each witness pair becomes two groups
+    # in run_claim (its sources) and two in _outside, which also builds its
+    # results: thm-main's one pair has 15 extensions (2 + 2 + 15), and
+    # prop-product-types' two pairs one product each (2 * (2 + 2 + 1))
+    built, init = [], groups.AbelianGroup.__init__
+
+    def counting(self, types):
+        built.append(types)
+        init(self, types)
+
+    monkeypatch.setattr(groups.AbelianGroup, "__init__", counting)
+    counts = {}
+    for claim in CLAIM_TABLE:
+        built.clear()
+        run_claim(claim, 64)
+        counts[claim.claim_id] = len(built)
+    assert counts == {"prop-ext-low": 0, "thm-main": 19,
+                      "prop-product-types": 10, "thm-second": 0}
 
 
 @pytest.mark.parametrize("claim_id", ["prop-product-types",
@@ -351,22 +379,21 @@ def test_empty_target_has_every_result_outside(step):
 
 def test_missing_expected_witness_fails_when_window_suffices():
     z45 = parse_group("Z/4^5")
-    report = _finalize("thm-main", 64, 10, {}, {z45: 32}, time.perf_counter())
+    report = _finalize("thm-main", 64, 10, {}, {z45: 32})
     assert report.verdict == "fail"
-    report = _finalize("thm-main", 16, 10, {}, {z45: 32}, time.perf_counter())
+    report = _finalize("thm-main", 16, 10, {}, {z45: 32})
     assert report.verdict == "pass" and report.vacuous
 
 
 def test_unexpected_witness_fails():
     stray = parse_group("Z/2^8")
-    report = _finalize("thm-main", 64, 10, {stray: {(stray, stray)}}, {},
-                       time.perf_counter())
+    report = _finalize("thm-main", 64, 10, {stray: {(stray, stray)}}, {})
     assert report.verdict == "fail"
     assert stray in report.witnesses
 
 
 def test_empty_sweep_is_vacuous():
-    report = _finalize("thm-main", 1, 0, {}, {}, time.perf_counter())
+    report = _finalize("thm-main", 1, 0, {}, {})
     assert report.verdict == "pass" and report.vacuous
 
 
