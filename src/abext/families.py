@@ -63,6 +63,8 @@ class Slot:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown slot kind {self.kind!r}")
+        if type(self.modulus) is not int:
+            raise ValueError(f"slot moduli must be ints, got {self.modulus!r}")
         if self.kind == "fixed" and self.modulus < 2:
             raise ValueError("fixed slots need a modulus >= 2")
         if self.kind != "fixed" and self.modulus:
@@ -245,8 +247,8 @@ def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGro
     if len(values) != pat.params:
         raise ValueError(f"the pattern takes {pat.params} parameter values, "
                          f"got {len(values)}")
-    if any(k < 1 for k in values):
-        raise ValueError("parameters must be >= 1")
+    if any(type(k) is not int or k < 1 for k in values):
+        raise ValueError("parameters must be >= 1 and of type int")
     it = iter(values)
     return AbelianGroup.from_factors(
         slot.modulus if slot.scale is None else slot.scale * next(it)

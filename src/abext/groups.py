@@ -89,8 +89,8 @@ def factorize(n: int) -> dict[int, int]:
     it must be prime by is_prime; a composite one, or one too large for
     is_prime to decide, raises ResourceLimitError.
     """
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"cannot factor {n!r}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

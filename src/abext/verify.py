@@ -16,9 +16,9 @@ rows (row_mask) or, for closure, over pairs of rows (_reach, filled from
 the supports of all pairs of one size at once; its docstring argues that
 it is exact).  Each (step, target) has one table (_table), keyed by plain
 (p, h_p, k_p) tuples, whose entry holds only the inclusion-minimal masks
-of the key's results; (p, a, b) and (p, b, a) share one entry, and every p
-outside the target's primes shares the entry of class 0, (0, a, b), since
-no row fixes or demands a part at such a p.  run_claim reads members as
+of the key's results; (p, a, b) and (p, b, a) share one entry, and at a
+p outside the target's primes, where masks depend on part counts alone,
+the entry is the mask of union_merge(a, b).  run_claim reads members as
 prime types from families._member_types and does not loop over pairs:
 _zero_pairs joins each left member with all right members at once and
 yields exactly the pairs where one mask per prime can AND to 0; only
@@ -62,8 +62,7 @@ from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)
 
 DEFAULT_BOUND = 64
-# claim time grows about fourfold per doubling of the bound: thm-second
-# takes about 11 s at 4096
+# claim time about doubles per doubling of the bound: 2 s at most at 4096
 MAX_VERIFY_BOUND = 4096
 
 
@@ -191,16 +190,19 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     () for the members that lack p.  Every choice of masks for the pair
     (ht, right[j]) lies in some vector of lanes (_lanes), one per prime.
     ANDing a vector leaves bit r * m + j exactly when row r (row pair for
-    closure) survives that choice, and folding the rows together leaves
-    the right members that some row admits.  A prime ht lacks has one lane
-    (lr_support((), v) is (v,)), ANDed into x once.  A prime that neither
-    member has outside target.primes has the one full mask (every row
-    admits (), and lr_support((), ()) is ((),)), so it ANDs in nothing.
+    closure) survives that choice; folding the rows by doubling shifts
+    leaves the right members that some row admits.  base ANDs the lanes of
+    () at the primes outside target.primes once, which is exact: there a
+    row admits a p-type of at most params parts, and _reach sets (i, j)
+    for a mu of at most params_i + params_j parts (union_merge of a split
+    of mu's rows), so masks shrink as parts grow; union_merge(a, v) has
+    the most parts in lr_support(a, v), so its mask alone is the entry,
+    inside the entry of ((), v).
     """
     table = _table(step, target)
     m, n = len(right), table.full.bit_length()
     every = (1 << m) - 1
-    cols: dict = {p: {} for p in target.primes}
+    cols: dict = {}
     for j, kt in enumerate(right):
         for p, v in kt.items():
             col = cols.setdefault(p, {})
@@ -208,21 +210,21 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     for col in cols.values():
         if lack := every - sum(col.values()):
             col[()] = lack
-    bare = {p: _lanes(table, p, (), col, m)[0] for p, col in cols.items()}
+    base = reduce(and_, (_lanes(table, p, (), cols[p], m)[0] for p in
+                         cols.keys() - target.primes), (1 << n * m) - 1)
+    spans = [m << i for i in range((n - 1).bit_length())]
     lanes: dict = {}
     for ht in left:
-        x = reduce(and_, map(bare.get, cols.keys() - ht.keys()),
-                   (1 << n * m) - 1)
-        for p, a in ht.items():
+        keys = [(p, ht.get(p, ())) for p in target.primes | ht.keys()]
+        for p, a in keys:
             if (p, a) not in lanes:
                 lanes[p, a] = _lanes(table, p, a, cols.get(p, {(): every}), m)
         dead = 0
-        for vector in itertools.product(*(lanes[p, a] for p, a in ht.items())):
-            y = reduce(and_, vector, x)
-            alive = 0
-            for r in range(n):
-                alive |= y >> r * m
-            dead |= every & ~alive
+        for vector in itertools.product(*map(lanes.get, keys)):
+            y = reduce(and_, vector, base)
+            for span in spans:
+                y |= y >> span
+            dead |= every & ~y
         while dead:
             low = dead & -dead
             yield ht, right[low.bit_length() - 1]
@@ -263,10 +265,11 @@ class _Options(dict):
     results of step on p-types a and b (union_merge for a product,
     lr_support otherwise), for one step into one target, filled on first
     lookup.  mask_of gives each result's mask: row_mask, or _reach for
-    closure.  (p, a, b) and (p, b, a) share one entry, filled once, and
-    so do all p outside target.primes, with (0, a, b).  Its keys hold no
-    Family, so a lookup hashes only ints and partitions.  full has a bit
-    for every row (every row pair for closure).
+    closure.  (p, a, b) and (p, b, a) share one entry, filled once; at a
+    p outside target.primes it is the mask of union_merge(a, b) alone, for
+    every step (_zero_pairs argues why).  Its keys hold no Family, so a
+    lookup hashes only ints and partitions.  full has a bit for every row
+    (every row pair for closure).
     """
 
     def __init__(self, step: str, target: Family):
@@ -283,11 +286,8 @@ class _Options(dict):
             # depends on mu alone
             self[key] = entry = self[p, b, a]
             return entry
-        if p and p not in self.target.primes:
-            # masks at such a prime do not depend on it (row_mask)
-            self[key] = entry = self[0, a, b]
-            return entry
-        mus = ((union_merge(a, b),) if self.step == "product"
+        mus = ((union_merge(a, b),)
+               if self.step == "product" or p not in self.target.primes
                else _lr_support(a, b))
         masks = {self.mask_of(self.target, p, mu) for mu in mus}
         # a mask that contains another never lets a choice reach 0

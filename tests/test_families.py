@@ -29,6 +29,13 @@ def test_slot_validation():
         Slot("free", 2)
     with pytest.raises(ValueError):
         Slot("weird")
+    # a modulus must be an int: fixed(2.5) would name the prime 2.5, and
+    # fixed(4.0) would render as Z/4.0
+    for modulus in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="must be ints"):
+            fixed(modulus)
+    with pytest.raises(ValueError, match="must be ints"):
+        Slot("free", 0.0)
 
 
 def test_matches_examples():
@@ -318,6 +325,10 @@ def test_instantiate_pattern_checks_its_values():
         instantiate_pattern(pat, [1, 2, 3])
     with pytest.raises(ValueError, match="parameters must be >= 1"):
         instantiate_pattern(pat, [1, 0])
+    # True and 2.0 would stand for 1 and 2
+    for values in ([True], [2.0]):
+        with pytest.raises(ValueError, match="of type int"):
+            instantiate_pattern(FamilyPattern((FREE,)), values)
 
 
 def test_render_pattern():

@@ -127,6 +127,13 @@ def test_is_prime_and_factorize():
     assert factorize(1) == {}
     with pytest.raises(ValueError):
         factorize(0)
+    # factors must be ints: 2.0 would give Z/2, and True would vanish as 1
+    for n in (2.0, True, 4.5):
+        with pytest.raises(ValueError):
+            factorize(n)
+    for orders in ([2.0], [True, 3]):
+        with pytest.raises(ValueError):
+            AbelianGroup.from_factors(orders)
 
 
 def test_large_primes_by_miller_rabin():

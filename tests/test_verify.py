@@ -14,9 +14,9 @@ from abext import groups, verify
 from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set)
-from abext.families import (A1, A2, A3P, PA4P, PB4P, Family, FamilyPattern,
-                            _member_types, enumerate_family, family_contains,
-                            fixed, row_mask)
+from abext.families import (A1, A2, A3P, EVEN, FREE, PA4P, PB4P, Family,
+                            FamilyPattern, _member_types, enumerate_family,
+                            family_contains, fixed, row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import _lr_support, lr_positive
 from abext.partitions import contains, size, union_merge
@@ -270,6 +270,32 @@ def test_table_entries_are_symmetric():
                            for m in entry), (step, p, a, b)
             assert (_Options(step, target)[p, a, b]
                     == _Options(step, target)[p, b, a]), (step, p, a, b)
+
+
+# rows at 2, 3 and 5, shaped like the target of tests/test_sweep_fuzz.py
+_AT_2_3_5 = Family("rows-at-2-3-5", (
+    FamilyPattern((FREE, FREE)), FamilyPattern((fixed(25), EVEN)),
+    FamilyPattern((fixed(5), FREE, FREE))),
+    GroupSet([parse_group("Z/3 x Z/9")]))
+
+
+@pytest.mark.parametrize("step", ["extension", "product", "closure"])
+def test_entries_outside_the_target_primes_are_one_mask(step):
+    # at a prime no row names, masks shrink as the part count grows, so
+    # the inclusion-minimal masks of the full support reduce to the mask
+    # of union_merge(a, b), which lies inside the entry of ((), b)
+    assert _AT_2_3_5.primes == {2, 3, 5}
+    table = _table(step, _AT_2_3_5)
+    mask_of = _reach if step == "closure" else row_mask
+    types = list(partitions_upto(4))
+    for p, a, b in itertools.product((7, 11, 13), types, types):
+        mus = (union_merge(a, b),) if step == "product" else _lr_support(a, b)
+        masks = {mask_of(_AT_2_3_5, p, mu) for mu in mus}
+        minimal = [m for m in masks
+                   if not any(o != m and o & m == o for o in masks)]
+        entry = table[p, a, b]
+        assert len(entry) == 1 and minimal == list(entry), (p, a, b)
+        assert entry[0] & ~table[p, (), b][0] == 0, (p, a, b)
 
 
 def test_outside_runs_only_on_witness_pairs(monkeypatch):
