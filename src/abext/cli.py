@@ -9,7 +9,7 @@ Exit codes:
   0   success; for verify, the claim passed
   1   the claim failed
   2   the claim passed vacuously (window too small for its witnesses)
-  3   resource limit exceeded
+  3   resource limit exceeded, or out of memory
   64  usage, parse, lookup or --out write error
   70  internal error (an exception nothing else handles)
 """
@@ -251,6 +251,9 @@ def run(argv: list[str] | None = None) -> int:
         return 64
     except ResourceLimitError as err:
         print(f"abext: resource limit: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("abext: resource limit: out of memory", file=sys.stderr)
         return 3
     except Exception as err:
         # exit 1 means "claim failed", so a crash needs a code of its own

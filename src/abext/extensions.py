@@ -13,7 +13,8 @@ sets, and compares isomorphism types of S and G/S, recovered from the
 order statistics |A[p^j]| = p**(sum_i min(a_i, j)) by popcounts.  It
 exists to cross-validate the coefficient criterion and is exhaustive
 below its configured bound; a p-part with more than MAX_SUBGROUPS
-subgroups raises ResourceLimitError instead.
+subgroups raises ResourceLimitError instead.  So does extension_set when
+a pair has more than MAX_EXTENSIONS extensions.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ DEFAULT_ORACLE_BOUND = 1024
 # most subgroups the oracle visits in one p-part before it gives up: Z/2^8
 # has 417,199 and Z/4^5 55,989, but Z/2^10 has 229,755,605
 MAX_SUBGROUPS = 10 ** 6
+# most extensions extension_set returns: Z/30030^10 by itself has 11^6
+MAX_EXTENSIONS = 10 ** 6
 
 
 class GroupSet(frozenset):
@@ -64,10 +67,16 @@ def is_extension(g: AbelianGroup, h: AbelianGroup, k: AbelianGroup) -> bool:
 # No memo: a pair recurs in at most about a third of calls, each call is cheap
 # next to the memoized supports, and a pair memo kept a set alive per pair.
 def extension_set(h: AbelianGroup, k: AbelianGroup) -> GroupSet:
-    """All extensions of k by h, combining primes independently."""
+    """All extensions of k by h, combining primes independently.  Raises
+    ResourceLimitError, before building any, when there are more than
+    MAX_EXTENSIONS."""
     ht, kt = h.prime_types(), k.prime_types()
     primes = sorted(ht.keys() | kt.keys())
     per_prime = [lr_support(ht.get(p, ()), kt.get(p, ())) for p in primes]
+    count = prod(map(len, per_prime))
+    if count > MAX_EXTENSIONS:
+        raise ResourceLimitError(f"{count} extensions exceed the limit of "
+                                 f"{MAX_EXTENSIONS}")
     return GroupSet(AbelianGroup(dict(zip(primes, combo)))
                     for combo in itertools.product(*per_prime))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from itertools import groupby
+from itertools import groupby, zip_longest
 from math import prod
 
 from .errors import ResourceLimitError
@@ -227,11 +227,12 @@ class AbelianGroup:
     def _format(self) -> str:
         if not self._types:
             return "1"
-        width = max(len(parts) for _, parts in self._types)
-        factors = [prod(p ** parts[i] for p, parts in self._types
-                        if i < len(parts)) for i in range(width)]
+        primes, columns = zip(*self._types)
         pieces = []
-        for f, run in groupby(factors):
+        # a factor determines its exponents, so equal factors are equal
+        # columns, and each run of them takes one product
+        for column, run in groupby(zip_longest(*columns, fillvalue=0)):
+            f = prod(p ** e for p, e in zip(primes, column))
             rep = len(list(run))
             pieces.append(f"Z/{f}" + (f"^{rep}" if rep > 1 else ""))
         return " x ".join(pieces)

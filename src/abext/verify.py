@@ -14,20 +14,19 @@ target family.  There are three step kinds:
 _zero_pairs decides all three per prime, by bitmasks over the target's
 rows (row_mask) or, for closure, over pairs of rows (_reach, filled from
 the supports of all pairs of one size at once; its docstring argues that
-it is exact).  Each (step, target) has one table (_table), keyed by plain
-(p, h_p, k_p) tuples, whose entry holds only the inclusion-minimal masks
-of the key's results; (p, a, b) and (p, b, a) share one entry, and at a
-p outside the target's primes, where masks depend on part counts alone,
-the entry is the mask of union_merge(a, b).  run_claim reads members as
-prime types from families._member_types and does not loop over pairs:
-_zero_pairs joins each left member with all right members at once and
-yields exactly the pairs where one mask per prime can AND to 0; only
-those become groups, and _outside builds their results (extension_set or
-the direct product) and keeps those outside the target.  A closure pair
-of two target members is skipped, since its extensions are extensions of
-those two, but counted.  No test uses a truncated enumeration, so a pass
-verifies the claim restricted to pairs within the window, whose bound is
-at most MAX_VERIFY_BOUND.
+it is exact).  run_claim keeps one table (_Options) per (step, target)
+for the run, keyed by plain (p, h_p, k_p) tuples; at every prime and for
+every step, an entry holds the inclusion-minimal masks of the key's
+results, and (p, a, b) and (p, b, a) share one entry.  run_claim reads
+members as prime types from families._member_types and does not loop
+over pairs: _zero_pairs joins each left member with all right members at
+once and yields exactly the pairs where one mask per prime can AND to 0;
+only those become groups, and _outside builds their results
+(extension_set or the direct product) and keeps those outside the
+target.  A closure pair of two target members is skipped, since its
+extensions are extensions of those two, but counted.  No test uses a
+truncated enumeration, so a pass verifies the claim restricted to pairs
+within the window, whose bound is at most MAX_VERIFY_BOUND.
 
 Reports distinguish three outcomes.  A claim fails when an unexpected
 witness appears, or when an expected witness is missing although the pair
@@ -131,6 +130,11 @@ class Sweep:
     right: Family
     target: Family
 
+    def __post_init__(self):
+        if self.step not in ("extension", "product", "closure"):
+            raise ValueError(f"unknown step {self.step!r}: expected "
+                             f"'extension', 'product' or 'closure'")
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -154,6 +158,7 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
         raise ResourceLimitError(f"verification bound {bound} exceeds the "
                                  f"limit of {MAX_VERIFY_BOUND}")
     members: dict = {}
+    tables: dict = {}
     witnesses: dict = {}
     checked = 0
     for sweep in claim.sweeps:
@@ -161,6 +166,7 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
             if family not in members:
                 members[family] = list(_member_types(family, bound))
         step, target = sweep.step, sweep.target
+        table = tables.setdefault((step, target), _Options(step, target))
         left, right = members[sweep.left], members[sweep.right]
         checked += len(left) * len(right)
         joins = [(left, right)]
@@ -173,17 +179,17 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
                      ([t for t in left if held(t)],
                       [t for t in right if not held(t)])]
         for lhs, rhs in joins:
-            for ht, kt in _zero_pairs(step, target, lhs, rhs):
+            for ht, kt in _zero_pairs(table, lhs, rhs):
                 pair = AbelianGroup(ht), AbelianGroup(kt)
-                for g in _outside(step, ht, kt, target):
+                for g in _outside(table, *pair):
                     witnesses.setdefault(g, set()).add(pair)
     return _finalize(claim.claim_id, bound, checked, witnesses, claim.expected)
 
 
-def _zero_pairs(step: str, target: Family, left: list, right: list):
+def _zero_pairs(table: _Options, left: list, right: list):
     """The pairs (ht, kt) of left x right, given as prime types, that have
-    a witness: some choice of one mask per prime from their _Options
-    entries ANDs to 0.
+    a witness: some choice of one mask per prime from their entries in
+    table ANDs to 0.
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
@@ -195,11 +201,11 @@ def _zero_pairs(step: str, target: Family, left: list, right: list):
     () at the primes outside target.primes once, which is exact: there a
     row admits a p-type of at most params parts, and _reach sets (i, j)
     for a mu of at most params_i + params_j parts (union_merge of a split
-    of mu's rows), so masks shrink as parts grow; union_merge(a, v) has
-    the most parts in lr_support(a, v), so its mask alone is the entry,
-    inside the entry of ((), v).
+    of mu's rows), so masks shrink as parts grow.  union_merge(a, v) has
+    the most parts in lr_support(a, v), so the entry's minimal masks are
+    its mask alone, which lies inside the entry of ((), v).
     """
-    table = _table(step, target)
+    target = table.target
     m, n = len(right), table.full.bit_length()
     every = (1 << m) - 1
     cols: dict = {}
@@ -246,15 +252,14 @@ def _lanes(table: _Options, p: int, a: Partition, col: dict, m: int):
     return lanes
 
 
-def _outside(step: str, ht: dict, kt: dict,
-             target: Family) -> list[AbelianGroup]:
-    """The results of step on (h, k), given by their prime types, whose
-    masks (row_mask, or _reach for closure) AND to 0 over the primes.  The
-    sweep calls it only on the pairs that _zero_pairs yields."""
-    table = _table(step, target)
-    primes = ht.keys() | kt.keys() | target.primes
-    h, k = AbelianGroup(ht), AbelianGroup(kt)
-    return [g for g in ((h.direct_product(k),) if step == "product"
+def _outside(table: _Options, h: AbelianGroup,
+             k: AbelianGroup) -> list[AbelianGroup]:
+    """The results of table's step on (h, k) whose masks (row_mask, or
+    _reach for closure) AND to 0 over the primes.  The sweep calls it only
+    on the pairs that _zero_pairs yields."""
+    target = table.target
+    primes = {*h.primes, *k.primes} | target.primes
+    return [g for g in ((h.direct_product(k),) if table.step == "product"
                         else extension_set(h, k))
             if not reduce(and_, (table.mask_of(target, p, g.p_part(p))
                                  for p in primes), table.full)]
@@ -264,12 +269,13 @@ class _Options(dict):
     """(p, a, b) -> the inclusion-minimal masks, ascending, of the
     results of step on p-types a and b (union_merge for a product,
     lr_support otherwise), for one step into one target, filled on first
-    lookup.  mask_of gives each result's mask: row_mask, or _reach for
-    closure.  (p, a, b) and (p, b, a) share one entry, filled once; at a
-    p outside target.primes it is the mask of union_merge(a, b) alone, for
-    every step (_zero_pairs argues why).  Its keys hold no Family, so a
-    lookup hashes only ints and partitions.  full has a bit for every row
-    (every row pair for closure).
+    lookup.  The rule holds at every prime and for every step; at a p
+    outside target.primes it leaves one mask (_zero_pairs argues why).
+    mask_of gives each result's mask: row_mask, or _reach for closure.
+    (p, a, b) and (p, b, a) share one entry, filled once.  Its keys hold
+    no Family, so a lookup hashes only ints and partitions.  full has a
+    bit for every row (every row pair for closure).  run_claim keeps one
+    table per (step, target) for the run.
     """
 
     def __init__(self, step: str, target: Family):
@@ -286,20 +292,13 @@ class _Options(dict):
             # depends on mu alone
             self[key] = entry = self[p, b, a]
             return entry
-        mus = ((union_merge(a, b),)
-               if self.step == "product" or p not in self.target.primes
+        mus = ((union_merge(a, b),) if self.step == "product"
                else _lr_support(a, b))
         masks = {self.mask_of(self.target, p, mu) for mu in mus}
         # a mask that contains another never lets a choice reach 0
         self[key] = entry = tuple(sorted(
             m for m in masks if not any(o != m and o & m == o for o in masks)))
         return entry
-
-
-@lru_cache(maxsize=None)
-def _table(step: str, target: Family) -> _Options:
-    """The one table of step into target that every sweep shares."""
-    return _Options(step, target)
 
 
 def _reach(family: Family, p: int, mu: Partition) -> int:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from abext import cli
+from abext import cli, extensions
 from abext.cli import run
 from abext.groups import parse_group
 from abext.verify import CLAIMS
@@ -168,6 +168,28 @@ def test_internal_error_exit_code(capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("abext: internal error: RecursionError: ")
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # running out of memory is a resource limit, not an internal error
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "ext", exhaust)
+    assert run(["ext", "Z/2", "Z/2"]) == 3
+    assert capsys.readouterr().err == "abext: resource limit: out of memory\n"
+
+
+def test_ext_result_budget_exit_code(capsys):
+    # Z/30030^10 by itself has 11^6 extensions, 11 shapes at each of six
+    # primes; the budget stops it before any group is built
+    assert extensions.MAX_EXTENSIONS == 10 ** 6
+    start = time.perf_counter()
+    assert run(["ext", "Z/30030^10", "Z/30030^10"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "abext: resource limit: 1771561 extensions exceed the limit of "
+        "1000000\n")
 
 
 @pytest.mark.parametrize("argv, message", [

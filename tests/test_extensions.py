@@ -57,6 +57,19 @@ def test_extension_set_multi_prime():
     assert extension_set(h, k) == gs("Z/12", "Z/6 x Z/2")
 
 
+
+def test_extension_set_budget(monkeypatch):
+    # Z/2^400 by itself has 401 extensions: the budget admits exactly that
+    # many, and one fewer refuses them all
+    h = parse_group("Z/2^400")
+    monkeypatch.setattr(extensions, "MAX_EXTENSIONS", 401)
+    assert len(extension_set(h, h)) == 401
+    monkeypatch.setattr(extensions, "MAX_EXTENSIONS", 400)
+    with pytest.raises(ResourceLimitError) as info:
+        extension_set(h, h)
+    assert str(info.value) == "401 extensions exceed the limit of 400"
+
+
 def test_set_product():
     assert set_product(gs("Z/2"), gs("Z/3")) == gs("Z/6")
     b = gs("Z/4", "Z/2^2")

@@ -2,8 +2,9 @@
 
 Every built-in family has its primes in {2, 3}, so only generated
 families can show a sweep that treats one prime like another: row masks
-and table entries at a prime outside a family's primes are shared by all
-such primes, and a prime inside them must never be taken for one outside.
+at a prime outside a family's primes are shared by all such primes, table
+entries there reduce to one mask, and a prime inside them must never be
+taken for one outside.
 Families here draw slots with moduli 5, 7, 9 and 25 and exceptional groups
 at 5 and 7, and each case compares run_claim with the naive sweep of
 tests/oracles.py.
@@ -22,8 +23,8 @@ from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import _lr_support
 from abext.partitions import union_merge
-from abext.verify import (Claim, Sweep, _outside, _reach, _zero_pairs,
-                          run_claim)
+from abext.verify import (Claim, Sweep, _Options, _outside, _reach,
+                          _zero_pairs, run_claim)
 
 from oracles import naive_run_claim
 
@@ -32,7 +33,7 @@ EXCEPTIONAL = ["Z/5^2", "Z/7 x Z/7", "Z/2^3", "Z/3 x Z/9", "Z/10"]
 STEPS = ["extension", "product", "closure"]
 
 # Family.__hash__ is the name's, and the memos of row_mask and of the
-# sweep tables are keyed by family: every generated family gets its own
+# closure masks are keyed by family: every generated family gets its own
 _names = itertools.count()
 
 
@@ -105,15 +106,17 @@ def test_outside_matches_the_choices_on_every_pair():
     left, right = (list(_member_types(f, 60)) for f in (_LEFT, _RIGHT))
     found = 0
     for step in STEPS:
+        table = _Options(step, _TARGET)
         witnessed = set()
         for ht, kt in itertools.product(left, right):
             expected = _outside_by_choices(step, ht, kt, _TARGET)
-            assert _outside(step, ht, kt, _TARGET) == expected, (step, ht, kt)
+            assert _outside(table, AbelianGroup(ht),
+                            AbelianGroup(kt)) == expected, (step, ht, kt)
             if expected:
                 witnessed.add((_key(ht), _key(kt)))
         # the join yields exactly the pairs that have a witness
         assert {(_key(ht), _key(kt)) for ht, kt in
-                _zero_pairs(step, _TARGET, left, right)} == witnessed, step
+                _zero_pairs(table, left, right)} == witnessed, step
         found += len(witnessed)
     # both verdicts occur
     assert 0 < found < 3 * len(left) * len(right)

@@ -21,7 +21,7 @@ from abext.groups import TRIVIAL, parse_group
 from abext.lr import _lr_support, lr_positive
 from abext.partitions import contains, size, union_merge
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
-                          _Options, _outside, _reach, _table, _zero_pairs,
+                          _Options, _outside, _reach, _zero_pairs,
                           regression_expansions, run_claim)
 
 from oracles import (all_abelian_groups_upto, naive_extends_two,
@@ -223,7 +223,8 @@ def test_join_matches_per_pair_and(sweep):
                    for f in (sweep.left, sweep.right))
     for rhs in ([], right):
         joined = [(_key(ht), _key(kt)) for ht, kt in
-                  _zero_pairs(sweep.step, sweep.target, left, rhs)]
+                  _zero_pairs(_Options(sweep.step, sweep.target),
+                              left, rhs)]
         expected = _zero_pairs_by_loop(sweep.step, sweep.target, left, rhs)
         assert len(joined) == len(set(joined))
         assert set(joined) == expected
@@ -242,27 +243,32 @@ def test_join_tries_every_choice_of_masks():
     # one fixed mask per entry finds nothing
     target = Family("two-choices", (FamilyPattern((fixed(1225),)),
                                     FamilyPattern((fixed(35), fixed(35)))))
-    table = _table("extension", target)
+    table = _Options("extension", target)
     assert table.full == 0b11 and target.primes == {5, 7}
     z35 = parse_group("Z/35")
     both = z35.prime_types()
-    assert list(_zero_pairs(
-        "extension", target, [both], [both])) == [(both, both)]
+    assert list(_zero_pairs(table, [both], [both])) == [(both, both)]
     for p in (5, 7):
         assert table[p, (1,), (1,)] == (0b01, 0b10)
-    assert [str(g) for g in _outside("extension", both, both, target)] == [
+    assert [str(g) for g in _outside(table, z35, z35)] == [
         "Z/175 x Z/7", "Z/245 x Z/5"]
 
 
 def test_table_entries_are_symmetric():
     # _Options stores one entry for (p, a, b) and (p, b, a); each side is
     # computed here in a table of its own.  Every entry is masks alone:
-    # an ascending tuple of distinct ints, none of which contains another
-    for claim in CLAIM_TABLE:
-        run_claim(claim, 64)
-    for step, target in {(s.step, s.target) for claim in CLAIM_TABLE
-                         for s in claim.sweeps}:
-        for (p, a, b), entry in list(_table(step, target).items()):
+    # an ascending tuple of distinct ints, none of which contains another.
+    # The tables are filled by joining the claims' members at 64
+    tables = {}
+    for sweep in (s for claim in CLAIM_TABLE for s in claim.sweeps):
+        step, target = sweep.step, sweep.target
+        table = tables.setdefault((step, target), _Options(step, target))
+        left, right = (list(_member_types(f, 64))
+                       for f in (sweep.left, sweep.right))
+        list(_zero_pairs(table, left, right))
+    assert len(tables) == 7 and all(tables.values())
+    for (step, target), table in tables.items():
+        for (p, a, b), entry in list(table.items()):
             assert type(entry) is tuple and entry, (step, p, a, b)
             assert all(type(m) is int for m in entry), (step, p, a, b)
             assert list(entry) == sorted(set(entry)), (step, p, a, b)
@@ -285,7 +291,7 @@ def test_entries_outside_the_target_primes_are_one_mask(step):
     # the inclusion-minimal masks of the full support reduce to the mask
     # of union_merge(a, b), which lies inside the entry of ((), b)
     assert _AT_2_3_5.primes == {2, 3, 5}
-    table = _table(step, _AT_2_3_5)
+    table = _Options(step, _AT_2_3_5)
     mask_of = _reach if step == "closure" else row_mask
     types = list(partitions_upto(4))
     for p, a, b in itertools.product((7, 11, 13), types, types):
@@ -314,9 +320,9 @@ def test_outside_runs_only_on_witness_pairs(monkeypatch):
 
 def test_groups_are_built_only_for_witness_pairs(monkeypatch):
     # members are read as prime types; each witness pair becomes two groups
-    # in run_claim (its sources) and two in _outside, which also builds its
-    # results: thm-main's one pair has 15 extensions (2 + 2 + 15), and
-    # prop-product-types' two pairs one product each (2 * (2 + 2 + 1))
+    # in run_claim (its sources), which _outside takes to build its
+    # results: thm-main's one pair has 15 extensions (2 + 15), and
+    # prop-product-types' two pairs one product each (2 * (2 + 1))
     built, init = [], groups.AbelianGroup.__init__
 
     def counting(self, types):
@@ -329,8 +335,8 @@ def test_groups_are_built_only_for_witness_pairs(monkeypatch):
         built.clear()
         run_claim(claim, 64)
         counts[claim.claim_id] = len(built)
-    assert counts == {"prop-ext-low": 0, "thm-main": 19,
-                      "prop-product-types": 10, "thm-second": 0}
+    assert counts == {"prop-ext-low": 0, "thm-main": 17,
+                      "prop-product-types": 6, "thm-second": 0}
 
 
 @pytest.mark.parametrize("claim_id", ["prop-product-types",
@@ -340,13 +346,22 @@ def test_closure_split_only_skips_work(claim_id):
     # finds nothing on any of them, those _zero_pairs yields among them
     sweep = next(s for s in _CLAIMS_BY_ID[claim_id].sweeps
                  if s.step == "closure")
-    held = [[(g, g.prime_types()) for g in enumerate_family(f, 64)
+    table = _Options("closure", sweep.target)
+    held = [[g for g in enumerate_family(f, 64)
              if family_contains(g, sweep.target)]
             for f in (sweep.left, sweep.right)]
-    for (h, ht), (k, kt) in itertools.product(*held):
-        assert _outside("closure", ht, kt, sweep.target) == [], (h, k)
+    for h, k in itertools.product(*held):
+        assert _outside(table, h, k) == [], (h, k)
     if claim_id == "prop-product-types":
         assert len(held[0]) * len(held[1]) > 1000
+
+
+
+def test_sweep_refuses_an_unknown_step():
+    with pytest.raises(ValueError) as info:
+        Sweep("extention", A1, A1, A2)
+    assert str(info.value) == ("unknown step 'extention': expected "
+                               "'extension', 'product' or 'closure'")
 
 
 def test_verify_bound_limit(monkeypatch):
@@ -373,10 +388,10 @@ def test_closure_search_matches_window_search():
                     and family_contains(k, sweep.target)):
                 reached |= extension_set(h, k)
     assert len(reached) > 100
+    table = _Options("closure", sweep.target)
     for g in reached:
         # extension_set(g, TRIVIAL) is {g}
-        inside = not _outside("closure", g.prime_types(),
-                              TRIVIAL.prime_types(), sweep.target)
+        inside = not _outside(table, g, TRIVIAL)
         assert inside == naive_extends_two(g, sweep.target, bound * bound), \
             str(g)
 
@@ -384,10 +399,11 @@ def test_closure_search_matches_window_search():
 def test_closure_search_on_small_groups():
     # A2 and A3p reach every group of order up to 256; A1 misses some
     verdicts = {}
+    tables = [_Options("closure", family) for family in (A1, A2, A3P)]
     for g in all_abelian_groups_upto(256):
-        for family in (A1, A2, A3P):
-            verdict = not _outside("closure", g.prime_types(),
-                                   TRIVIAL.prime_types(), family)
+        for table in tables:
+            family = table.target
+            verdict = not _outside(table, g, TRIVIAL)
             assert verdict == naive_extends_two(g, family, 256), \
                 (str(g), family.name)
             verdicts.setdefault(family.name, set()).add(verdict)
@@ -397,10 +413,10 @@ def test_closure_search_on_small_groups():
 @pytest.mark.parametrize("step", ["extension", "product", "closure"])
 def test_empty_target_has_every_result_outside(step):
     # with no rows and no primes to constrain, the masks AND over nothing
-    empty = Family("E", ())
-    assert _outside(step, {}, {}, empty) == [TRIVIAL]
-    z2 = parse_group("Z/2").prime_types()
-    assert _outside(step, z2, {}, empty) == [parse_group("Z/2")]
+    table = _Options(step, Family("E", ()))
+    assert _outside(table, TRIVIAL, TRIVIAL) == [TRIVIAL]
+    z2 = parse_group("Z/2")
+    assert _outside(table, z2, TRIVIAL) == [z2]
 
 
 def test_missing_expected_witness_fails_when_window_suffices():
