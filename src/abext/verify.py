@@ -17,13 +17,19 @@ the supports of all pairs of one size at once; its docstring argues that
 it is exact).  run_claim keeps one table (_Options) per (step, target)
 for the run, keyed by plain (p, h_p, k_p) tuples; at every prime and for
 every step, an entry holds the inclusion-minimal masks of the key's
-results, and (p, a, b) and (p, b, a) share one entry.  run_claim reads
-members as prime types from families._member_types and does not loop
-over pairs: _zero_pairs joins each left member with all right members at
-once and yields exactly the pairs where one mask per prime can AND to 0;
-only those become groups, and _outside builds their results
-(extension_set or the direct product) and keeps those outside the
-target.  A closure pair of two target members is skipped, since its
+results, and (p, a, b) and (p, b, a) share one entry.  At a prime of the
+target, (p, a, b) also shares the entry of (p, cap a, cap b), every part
+above c lowered to c: E + 1 for extension and product, as rows read no
+more of a p-type (E the largest exponent they fix at p), and max(2E + 1,
+2) for closure (Z/p^2 extends Z/p by Z/p; Z/p does not).  This rests on a
+lemma, tested up to the sizes in tests/test_verify.py but not proved: the
+caps of lr_support(a, b) are those of lr_support(cap a, cap b).
+run_claim reads members as prime types from families._member_types and
+does not loop over pairs: _zero_pairs joins each left member with all
+right members at once and yields exactly the pairs where one mask per
+prime can AND to 0; only those become groups, and _outside builds their
+results (extension_set or the direct product) and keeps those outside
+the target.  A closure pair of two target members is skipped, since its
 extensions are extensions of those two, but counted.  No test uses a
 truncated enumeration, so a pass verifies the claim restricted to pairs
 within the window, whose bound is at most MAX_VERIFY_BOUND.
@@ -61,7 +67,8 @@ from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)
 
 DEFAULT_BOUND = 64
-# claim time about doubles per doubling of the bound: 2 s at most at 4096
+# claim time about doubles per doubling of the bound: 1.6 s at most at 4096
+# (CPU time, Python 3.11 on a shared 2-core machine)
 MAX_VERIFY_BOUND = 4096
 
 
@@ -272,10 +279,14 @@ class _Options(dict):
     lookup.  The rule holds at every prime and for every step; at a p
     outside target.primes it leaves one mask (_zero_pairs argues why).
     mask_of gives each result's mask: row_mask, or _reach for closure.
-    (p, a, b) and (p, b, a) share one entry, filled once.  Its keys hold
-    no Family, so a lookup hashes only ints and partitions.  full has a
-    bit for every row (every row pair for closure).  run_claim keeps one
-    table per (step, target) for the run.
+    (p, a, b) and (p, b, a) share one entry, filled once, and at a p in
+    target.primes so do (p, a, b) and (p, cap a, cap b), every part lowered
+    to at most cap[p]: E + 1, or max(2E + 1, 2) for closure, with E the
+    largest exponent target's rows fix at p (the module docstring says
+    why; the lemma behind it is tested, not proved).  Its keys hold no
+    Family, so a lookup hashes only ints and partitions.  full has a bit
+    for every row (every row pair for closure).  run_claim keeps one table
+    per (step, target) for the run.
     """
 
     def __init__(self, step: str, target: Family):
@@ -284,9 +295,19 @@ class _Options(dict):
         self.mask_of = _reach if step == "closure" else row_mask
         n = len(target.rows)
         self.full = (1 << (n * n if step == "closure" else n)) - 1
+        top = {p: max((e for row in target.rows for e in row.fixed.get(p, ())),
+                      default=0) for p in target.primes}
+        self.cap = {p: max(2 * e + 1, 2) if step == "closure" else e + 1
+                    for p, e in top.items()}
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
+        if c := self.cap.get(p):
+            capped = (p, *(tuple(min(x, c) for x in t) for t in (a, b)))
+            if capped != key:
+                # the entries of a key and of its capped key are equal
+                self[key] = entry = self[capped]
+                return entry
         if (p, b, a) in self:
             # c^mu_ab = c^mu_ba and union_merge is symmetric, and each mask
             # depends on mu alone

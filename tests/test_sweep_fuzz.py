@@ -4,10 +4,14 @@ Every built-in family has its primes in {2, 3}, so only generated
 families can show a sweep that treats one prime like another: row masks
 at a prime outside a family's primes are shared by all such primes, table
 entries there reduce to one mask, and a prime inside them must never be
-taken for one outside.
-Families here draw slots with moduli 5, 7, 9 and 25 and exceptional groups
-at 5 and 7, and each case compares run_claim with the naive sweep of
-tests/oracles.py.
+taken for one outside.  Generated families also reach the caps of the
+sweep tables: at a prime of the target, a table entry is keyed by the
+p-types with parts above a cap lowered to it (E + 1, or 2E + 1 and at
+least 2 for closure, with E the largest exponent the rows fix there).
+Families here draw slots with moduli 5, 7, 8, 9 and 25 and exceptional
+groups at 5 and 7, in windows up to 32: there caps up to 4 change
+2-types (Z/32) and a cap of 2 changes 3-types (Z/27).  Each case compares
+run_claim with the naive sweep of tests/oracles.py.
 """
 
 import itertools
@@ -28,7 +32,7 @@ from abext.verify import (Claim, Sweep, _Options, _outside, _reach,
 
 from oracles import naive_run_claim
 
-SLOTS = [FREE, EVEN, TRIPLE] + [fixed(m) for m in (2, 3, 4, 5, 6, 7, 9, 25)]
+SLOTS = [FREE, EVEN, TRIPLE] + [fixed(m) for m in (2, 3, 4, 5, 6, 7, 8, 9, 25)]
 EXCEPTIONAL = ["Z/5^2", "Z/7 x Z/7", "Z/2^3", "Z/3 x Z/9", "Z/10"]
 STEPS = ["extension", "product", "closure"]
 
@@ -60,7 +64,7 @@ _Z35 = _family([], ["Z/35"])
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(STEPS), families, families, families,
-       st.sampled_from([8, 12, 16]))
+       st.sampled_from([8, 12, 16, 32]))
 @example("extension", _Z35, _Z35, _TWO_ROWS, 35)
 def test_sweep_matches_naive_sweep(step, left, right, target, bound):
     claim = Claim("fuzz", (Sweep(step, left, right, target),))

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,13 +14,14 @@ import pytest
 from abext import groups, verify
 from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
-                              extension_set)
-from abext.families import (A1, A2, A3P, EVEN, FREE, PA4P, PB4P, Family,
-                            FamilyPattern, _member_types, enumerate_family,
-                            family_contains, fixed, row_mask)
+                              extension_set, subgroup_quotient_types)
+from abext.families import (A1, A2, A3P, EVEN, FREE, PA4P, PB4P, TRIPLE,
+                            Family, FamilyPattern, _member_types,
+                            enumerate_family, family_contains, fixed,
+                            row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import _lr_support, lr_positive
-from abext.partitions import contains, size, union_merge
+from abext.partitions import contains, partitions_of, size, union_merge
 from abext.verify import (CLAIMS, CLAIM_TABLE, Claim, Sweep, _finalize,
                           _Options, _outside, _reach, _zero_pairs,
                           regression_expansions, run_claim)
@@ -278,6 +280,17 @@ def test_table_entries_are_symmetric():
                     == _Options(step, target)[p, b, a]), (step, p, a, b)
 
 
+def _entry_without_table(step, target, p, a, b):
+    """The inclusion-minimal masks, ascending, of step's results on the
+    p-types a and b, from row_mask or _reach alone: the reference for one
+    entry of _Options."""
+    mask_of = _reach if step == "closure" else row_mask
+    mus = (union_merge(a, b),) if step == "product" else _lr_support(a, b)
+    masks = {mask_of(target, p, mu) for mu in mus}
+    return tuple(sorted(m for m in masks
+                        if not any(o != m and o & m == o for o in masks)))
+
+
 # rows at 2, 3 and 5, shaped like the target of tests/test_sweep_fuzz.py
 _AT_2_3_5 = Family("rows-at-2-3-5", (
     FamilyPattern((FREE, FREE)), FamilyPattern((fixed(25), EVEN)),
@@ -292,16 +305,119 @@ def test_entries_outside_the_target_primes_are_one_mask(step):
     # of union_merge(a, b), which lies inside the entry of ((), b)
     assert _AT_2_3_5.primes == {2, 3, 5}
     table = _Options(step, _AT_2_3_5)
-    mask_of = _reach if step == "closure" else row_mask
     types = list(partitions_upto(4))
     for p, a, b in itertools.product((7, 11, 13), types, types):
-        mus = (union_merge(a, b),) if step == "product" else _lr_support(a, b)
-        masks = {mask_of(_AT_2_3_5, p, mu) for mu in mus}
-        minimal = [m for m in masks
-                   if not any(o != m and o & m == o for o in masks)]
         entry = table[p, a, b]
-        assert len(entry) == 1 and minimal == list(entry), (p, a, b)
+        assert len(entry) == 1, (p, a, b)
+        assert entry == _entry_without_table(step, _AT_2_3_5, p, a, b)
         assert entry[0] & ~table[p, (), b][0] == 0, (p, a, b)
+
+
+def _pairs_upto(total):
+    """Every pair of partitions a, b with |a| + |b| <= total."""
+    return [(a, b) for n in range(total + 1) for k in range(n + 1)
+            for a in partitions_of(k) for b in partitions_of(n - k)]
+
+
+def _cap(parts, c):
+    return tuple(min(x, c) for x in parts)
+
+
+def _drawn_targets(count):
+    """Targets drawn like the sweep fuzz's, each with a prime that only
+    Z/2k or Z/3k slots demand, where no row fixes an exponent."""
+    rng = random.Random(27)
+    slots = [FREE, EVEN, TRIPLE] + [fixed(m) for m in (2, 3, 4, 5, 8, 9, 25)]
+    targets = []
+    while len(targets) < count:
+        target = Family(f"drawn-{len(targets)}", tuple(
+            FamilyPattern(tuple(rng.choices(slots, k=rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 4))))
+        if any(all(p not in row.fixed for row in target.rows)
+               for p in target.primes):
+            targets.append(target)
+    return targets
+
+
+# each step into each target of the claims
+_CLAIM_TABLES = list(dict.fromkeys((s.step, s.target) for claim in CLAIM_TABLE
+                                   for s in claim.sweeps))
+
+
+@pytest.mark.parametrize("step, target", _CLAIM_TABLES,
+                         ids=lambda x: getattr(x, "name", x))
+def test_capped_entries_match_the_real_ones(step, target):
+    # every pair of p-types with at most 12 boxes in all at p = 2, and at
+    # most 7 at p = 3
+    table = _Options(step, target)
+    for p, total in ((2, 12), (3, 7)):
+        for a, b in _pairs_upto(total):
+            assert table[p, a, b] == _entry_without_table(
+                step, target, p, a, b), (p, a, b)
+
+
+def test_capped_entries_match_at_primes_without_fixed_exponents():
+    # at a prime that no row fixes, rows read only part counts, yet closure
+    # masks tell (2) from (1): its cap there is 2, not 1
+    targets = _drawn_targets(40)
+    capped = 0
+    for target, step in itertools.product(
+            targets, ("extension", "product", "closure")):
+        table = _Options(step, target)
+        for p, c in table.cap.items():
+            for a, b in _pairs_upto(6 if p == 2 else 4):
+                assert table[p, a, b] == _entry_without_table(
+                    step, target, p, a, b), (target.rows, step, p, a, b)
+                capped += (_cap(a, c), _cap(b, c)) != (a, b)
+    assert capped > 1000
+
+
+def test_capping_lemma_at_the_element_level():
+    # the caps of the groups with a subgroup of type a and quotient of type
+    # b equal those for cap a and cap b, by the element-level oracle and no
+    # LR code: every p-group of order up to 2^8 and 3^6, caps 2-4 and 2-3
+    compared = 0
+    for p, top, caps in ((2, 8, (2, 3, 4)), (3, 6, (2, 3))):
+        shapes = {}
+        for mu in (mu for n in range(top + 1) for mu in partitions_of(n)):
+            for a, b in subgroup_quotient_types(p, mu):
+                shapes.setdefault((a, b), set()).add(mu)
+        for c in caps:
+            for (a, b), mus in shapes.items():
+                key = _cap(a, c), _cap(b, c)
+                if key != (a, b):
+                    compared += 1
+                    assert ({_cap(mu, c) for mu in mus} == {
+                        _cap(mu, c) for mu in shapes[key]}), (p, c, a, b)
+    assert compared > 500
+
+
+def test_capped_keys_share_one_entry(monkeypatch):
+    # PA4p fixes exponents up to 2 at p = 2 and 1 at p = 3, so thm-main's
+    # table caps parts at 3 and 2 there; a key at those primes holds the
+    # very entry of its capped key, equal to the key's own entry (pairs of
+    # up to 16 boxes at p = 2)
+    tables = []
+
+    class Recording(_Options):
+        def __init__(self, step, target):
+            super().__init__(step, target)
+            tables.append(self)
+
+    monkeypatch.setattr(verify, "_Options", Recording)
+    CLAIMS["thm-main"](256)
+    # both sweeps fill one table
+    table, = [t for t in tables if t]
+    assert table.cap == {2: 3, 3: 2}
+    redirected = 0
+    for (p, a, b), entry in table.items():
+        if p in table.cap:
+            key = p, _cap(a, table.cap[p]), _cap(b, table.cap[p])
+            assert key in table and table[key] is entry, (p, a, b)
+            redirected += key != (p, a, b)
+        assert entry == _entry_without_table(
+            "extension", PA4P, p, a, b), (p, a, b)
+    assert redirected > 100
 
 
 def test_outside_runs_only_on_witness_pairs(monkeypatch):
