@@ -2,15 +2,17 @@
 traversal, and one counting search, tableau backtracking.
 
 lr_support lists the mu with positive coefficient in lam . nu.  It adds the
-rows of nu to lam in turn, row i as a horizontal strip of nu_i cells
-labelled i: only addable rows take cells (row 0, and rows shorter than the
-row above), and under the lattice rule the i's in rows <= r number at most
-the (i-1)'s in rows <= r-1 (label 1 has no such limit).  A state is the
-grown shape with the running count of the last label per row, and states
-are deduplicated after each label, so the cost follows the number of
-distinct states, not of tableaux.  This is the Remmel-Whitney rule, as in
-Buch's lrcalc.  A product whose bounding box has more rows than columns is
-walked on the conjugates, since c^mu'_{lam' nu'} = c^mu_{lam nu}.
+rows of the operand with fewer rows, say nu, to the other in turn (the walk
+takes one step per row, and c^mu_{lam nu} = c^mu_{nu lam}), row i as a
+horizontal strip of nu_i cells labelled i: only addable rows take cells
+(row 0, and rows shorter than the row above), and under the lattice rule
+the i's in rows <= r number at most the (i-1)'s in rows <= r-1 (label 1
+has no such limit).  A state is the grown shape with the running count of
+the last label per row, and states are deduplicated after each label, so
+the cost follows the number of distinct states, not of tableaux.  This is
+the Remmel-Whitney rule, as in Buch's lrcalc.  A product whose bounding
+box has more rows than columns is walked on the conjugates, since
+c^mu'_{lam' nu'} = c^mu_{lam nu}.
 
 The coefficient of mu in lam . nu counts the semistandard fillings of the
 skew shape mu/lam with content nu whose reverse reading word (rows read
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .partitions import (Partition, conjugate, contains, make_partition,
-                         size, sort_key)
+                         size)
 
 # Deepest recursion the filling search may start, one frame per cell: below
 # the interpreter's default recursion limit of 1000, with room for the frames
@@ -79,7 +81,10 @@ def lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def _lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
-    """lr_support for canonical partition tuples, unchecked and memoized."""
+    """lr_support for canonical partition tuples, unchecked and memoized:
+    checked as given, then walked on the operand with fewer rows (of the
+    transposes when taller than wide).  All shapes have |lam| + |nu|
+    boxes, so none is a prefix of another: descending is sort_key order."""
     _check_rows(len(lam) + len(nu))
     _check_cells(size(nu))
     if len(lam) + len(nu) > (lam[0] if lam else 0) + (nu[0] if nu else 0):
@@ -88,17 +93,22 @@ def _lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
         found = map(conjugate, _strip_shapes(conjugate(lam), conjugate(nu)))
     else:
         found = _strip_shapes(lam, nu)
-    return tuple(sorted(found, key=sort_key))
+    return tuple(sorted(found, reverse=True))
 
 
 def _strip_shapes(lam, nu):
-    """The shapes reached by adding the rows of nu to lam as lattice
-    horizontal strips, each once."""
+    """The shapes reached by adding the rows of the operand with fewer rows
+    to the other as lattice horizontal strips, each once."""
+    if (len(nu), nu) > (len(lam), lam):
+        lam, nu = nu, lam
+    if not nu:
+        return {lam}
     states = {(lam, None)}
-    for n in nu:
+    for n in nu[:-1]:
         states = {grown for shape, limit in states
                   for grown in _strips(shape, limit, n)}
-    return {shape for shape, _ in states}
+    return {grown for shape, limit in states
+            for grown, _ in _strips(shape, limit, nu[-1])}
 
 
 def _strips(shape, limit, n):

@@ -17,13 +17,14 @@ the supports of all pairs of one size at once; its docstring argues that
 it is exact).  run_claim keeps one table (_Options) per (step, target)
 for the run, keyed by plain (p, h_p, k_p) tuples; at every prime and for
 every step, an entry holds the inclusion-minimal masks of the key's
-results, and (p, a, b) and (p, b, a) share one entry.  At a prime of the
-target, (p, a, b) also shares the entry of (p, cap a, cap b), every part
-above c lowered to c: E + 1 for extension and product, as rows read no
-more of a p-type (E the largest exponent they fix at p), and max(2E + 1,
-2) for closure (Z/p^2 extends Z/p by Z/p; Z/p does not).  This rests on a
-lemma, tested up to the sizes in tests/test_verify.py but not proved: the
-caps of lr_support(a, b) are those of lr_support(cap a, cap b).
+results, and (p, a, b) and (p, b, a) share one entry.  The join caps each
+p-type at a target prime as it enters, every part above c lowered to c:
+E + 1 for extension and product, as rows read no more of a p-type (E the
+largest exponent they fix at p), and max(2E + 1, 2) for closure (Z/p^2
+extends Z/p by Z/p; Z/p does not), and keys every other prime as class 0.
+This rests on a lemma, tested to 24 boxes (all a window of 4096 pairs)
+but not proved: the caps of lr_support(a, b) are those of
+lr_support(cap a, cap b).
 run_claim reads members as prime types from families._member_types and
 does not loop over pairs: _zero_pairs joins each left member with all
 right members at once and yields exactly the pairs where one mask per
@@ -173,7 +174,9 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
             if family not in members:
                 members[family] = list(_member_types(family, bound))
         step, target = sweep.step, sweep.target
-        table = tables.setdefault((step, target), _Options(step, target))
+        if (step, target) not in tables:
+            tables[step, target] = _Options(step, target)
+        table = tables[step, target]
         left, right = members[sweep.left], members[sweep.right]
         checked += len(left) * len(right)
         joins = [(left, right)]
@@ -200,24 +203,32 @@ def _zero_pairs(table: _Options, left: list, right: list):
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
-    () for the members that lack p.  Every choice of masks for the pair
-    (ht, right[j]) lies in some vector of lanes (_lanes), one per prime.
-    ANDing a vector leaves bit r * m + j exactly when row r (row pair for
-    closure) survives that choice; folding the rows by doubling shifts
-    leaves the right members that some row admits.  base ANDs the lanes of
-    () at the primes outside target.primes once, which is exact: there a
-    row admits a p-type of at most params parts, and _reach sets (i, j)
-    for a mu of at most params_i + params_j parts (union_merge of a split
-    of mu's rows), so masks shrink as parts grow.  union_merge(a, v) has
-    the most parts in lr_support(a, v), so the entry's minimal masks are
-    its mask alone, which lies inside the entry of ((), v).
+    () for the members that lack p; p-types enter capped at table.cap, so
+    equal capped types share a column and a lane.  Every choice of masks
+    for the pair (ht, right[j]) lies in some vector of lanes (_lanes), one
+    per prime.  ANDing a vector leaves bit r * m + j exactly when row r
+    (row pair for closure) survives that choice; folding the rows by
+    doubling shifts leaves the right members that some row admits.  base
+    ANDs the lanes of () at the primes outside target.primes once, which
+    is exact: there a row admits a p-type of at most params parts, and
+    _reach sets (i, j) for a mu of at most params_i + params_j parts
+    (union_merge of a split of mu's rows), so masks shrink as parts grow.
+    union_merge(a, v) has the most parts in lr_support(a, v), so the
+    entry's minimal masks are its mask alone, which lies inside the entry
+    of ((), v).
     """
     target = table.target
     m, n = len(right), table.full.bit_length()
     every = (1 << m) - 1
+
+    def capped(p, t):
+        c = table.cap.get(p)
+        return tuple(min(x, c) for x in t) if c else t
+
     cols: dict = {}
     for j, kt in enumerate(right):
         for p, v in kt.items():
+            v = capped(p, v)
             col = cols.setdefault(p, {})
             col[v] = col.get(v, 0) | 1 << j
     for col in cols.values():
@@ -228,7 +239,8 @@ def _zero_pairs(table: _Options, left: list, right: list):
     spans = [m << i for i in range((n - 1).bit_length())]
     lanes: dict = {}
     for ht in left:
-        keys = [(p, ht.get(p, ())) for p in target.primes | ht.keys()]
+        keys = [(p, capped(p, ht.get(p, ())))
+                for p in target.primes | ht.keys()]
         for p, a in keys:
             if (p, a) not in lanes:
                 lanes[p, a] = _lanes(table, p, a, cols.get(p, {(): every}), m)
@@ -247,8 +259,10 @@ def _zero_pairs(table: _Options, left: list, right: list):
 def _lanes(table: _Options, p: int, a: Partition, col: dict, m: int):
     """One lane per choice index c below the longest entry (a, v) over the
     p-types v of col: bit r * m + j is set when row r is in the c-th mask
-    of (a, v_j), or in its last mask when it has fewer."""
-    entries = [(bits, table[p, a, v]) for v, bits in col.items()]
+    of (a, v_j), or in its last mask when it has fewer.  Entries are read
+    at p for a target prime and at class 0 for any other."""
+    q = p if p in table.target.primes else 0
+    entries = [(bits, table[q, a, v]) for v, bits in col.items()]
     lanes = [0] * max((len(e) for _, e in entries), default=1)
     for c in range(len(lanes)):
         for bits, e in entries:
@@ -277,12 +291,13 @@ class _Options(dict):
     results of step on p-types a and b (union_merge for a product,
     lr_support otherwise), for one step into one target, filled on first
     lookup.  The rule holds at every prime and for every step; at a p
-    outside target.primes it leaves one mask (_zero_pairs argues why).
-    mask_of gives each result's mask: row_mask, or _reach for closure.
-    (p, a, b) and (p, b, a) share one entry, filled once, and at a p in
-    target.primes so do (p, a, b) and (p, cap a, cap b), every part lowered
-    to at most cap[p]: E + 1, or max(2E + 1, 2) for closure, with E the
-    largest exponent target's rows fix at p (the module docstring says
+    outside target.primes it leaves one mask (_zero_pairs argues why),
+    the same at every such p, which the join keys as class 0.  mask_of
+    gives each result's mask: row_mask, or _reach for closure.  (p, a, b)
+    and (p, b, a) share one entry, filled once.  cap[p], at each p in
+    target.primes, is the part size to which the join lowers p-types
+    before it looks them up: E + 1, or max(2E + 1, 2) for closure, with E
+    the largest exponent target's rows fix at p (the module docstring says
     why; the lemma behind it is tested, not proved).  Its keys hold no
     Family, so a lookup hashes only ints and partitions.  full has a bit
     for every row (every row pair for closure).  run_claim keeps one table
@@ -302,12 +317,6 @@ class _Options(dict):
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
-        if c := self.cap.get(p):
-            capped = (p, *(tuple(min(x, c) for x in t) for t in (a, b)))
-            if capped != key:
-                # the entries of a key and of its capped key are equal
-                self[key] = entry = self[capped]
-                return entry
         if (p, b, a) in self:
             # c^mu_ab = c^mu_ba and union_merge is symmetric, and each mask
             # depends on mu alone

@@ -173,10 +173,14 @@ def _positive_shapes(lam, nu):
 
 
 def test_support_matches_expansion():
-    # against the filling search, which shares no code with the traversal
+    # against the filling search, which shares no code with the traversal,
+    # in both argument orders, as the traversal swaps them to add the
+    # operand with fewer rows (of the transposes, for a tall product)
     small = list(partitions_upto(5))
-    for lam, nu in [(lam, nu) for lam in small for nu in small] + TALL_PAIRS:
-        assert lr_support(lam, nu) == _positive_shapes(lam, nu), (lam, nu)
+    pairs = [(lam, nu) for lam in small for nu in small]
+    for lam, nu in pairs + list(_pairs_upto(8)) + TALL_PAIRS:
+        shapes = _positive_shapes(lam, nu)
+        assert lr_support(lam, nu) == shapes == lr_support(nu, lam), (lam, nu)
 
 
 def test_support_against_naive_coefficients():

@@ -302,15 +302,17 @@ _AT_2_3_5 = Family("rows-at-2-3-5", (
 def test_entries_outside_the_target_primes_are_one_mask(step):
     # at a prime no row names, masks shrink as the part count grows, so
     # the inclusion-minimal masks of the full support reduce to the mask
-    # of union_merge(a, b), which lies inside the entry of ((), b)
+    # of union_merge(a, b), which lies inside the entry of ((), b).  The
+    # join keys every such prime as class 0, whose entry is each prime's
     assert _AT_2_3_5.primes == {2, 3, 5}
     table = _Options(step, _AT_2_3_5)
     types = list(partitions_upto(4))
-    for p, a, b in itertools.product((7, 11, 13), types, types):
-        entry = table[p, a, b]
-        assert len(entry) == 1, (p, a, b)
-        assert entry == _entry_without_table(step, _AT_2_3_5, p, a, b)
-        assert entry[0] & ~table[p, (), b][0] == 0, (p, a, b)
+    for a, b in itertools.product(types, types):
+        entry = table[0, a, b]
+        assert len(entry) == 1, (a, b)
+        for p in (7, 11, 13):
+            assert entry == _entry_without_table(step, _AT_2_3_5, p, a, b)
+        assert entry[0] & ~table[0, (), b][0] == 0, (a, b)
 
 
 def _pairs_upto(total):
@@ -321,6 +323,14 @@ def _pairs_upto(total):
 
 def _cap(parts, c):
     return tuple(min(x, c) for x in parts)
+
+
+def _join_key(table, p, a, b):
+    """The key under which _zero_pairs looks up the p-types a and b: capped
+    at a target prime, class 0 at any other."""
+    if c := table.cap.get(p):
+        return p, _cap(a, c), _cap(b, c)
+    return 0, a, b
 
 
 def _drawn_targets(count):
@@ -348,11 +358,11 @@ _CLAIM_TABLES = list(dict.fromkeys((s.step, s.target) for claim in CLAIM_TABLE
                          ids=lambda x: getattr(x, "name", x))
 def test_capped_entries_match_the_real_ones(step, target):
     # every pair of p-types with at most 12 boxes in all at p = 2, and at
-    # most 7 at p = 3
+    # most 7 at p = 3: the entry filled from the capped key is the pair's
     table = _Options(step, target)
     for p, total in ((2, 12), (3, 7)):
         for a, b in _pairs_upto(total):
-            assert table[p, a, b] == _entry_without_table(
+            assert table[_join_key(table, p, a, b)] == _entry_without_table(
                 step, target, p, a, b), (p, a, b)
 
 
@@ -366,8 +376,9 @@ def test_capped_entries_match_at_primes_without_fixed_exponents():
         table = _Options(step, target)
         for p, c in table.cap.items():
             for a, b in _pairs_upto(6 if p == 2 else 4):
-                assert table[p, a, b] == _entry_without_table(
-                    step, target, p, a, b), (target.rows, step, p, a, b)
+                assert table[_join_key(table, p, a, b)] == (
+                    _entry_without_table(step, target, p, a, b)), (
+                    target.rows, step, p, a, b)
                 capped += (_cap(a, c), _cap(b, c)) != (a, b)
     assert capped > 1000
 
@@ -392,32 +403,51 @@ def test_capping_lemma_at_the_element_level():
     assert compared > 500
 
 
-def test_capped_keys_share_one_entry(monkeypatch):
-    # PA4p fixes exponents up to 2 at p = 2 and 1 at p = 3, so thm-main's
-    # table caps parts at 3 and 2 there; a key at those primes holds the
-    # very entry of its capped key, equal to the key's own entry (pairs of
-    # up to 16 boxes at p = 2)
-    tables = []
+@pytest.mark.parametrize("claim", CLAIM_TABLE, ids=lambda c: c.claim_id)
+def test_joins_look_up_capped_keys(claim, monkeypatch):
+    # run_claim builds one table per (step, target), and its joins look up
+    # (p, cap a, cap v) for every left p-type a and right p-type v at a
+    # target prime, and class 0 at every other prime.  Each entry equals
+    # the uncapped pair's: up to 24 boxes at 4096 (the capping lemma at
+    # every size the window reaches)
+    built, joins = [], []
+    zero_pairs = verify._zero_pairs
 
     class Recording(_Options):
         def __init__(self, step, target):
             super().__init__(step, target)
-            tables.append(self)
+            built.append(self)
+
+    def recording(table, left, right):
+        joins.append((table, left, right))
+        return zero_pairs(table, left, right)
 
     monkeypatch.setattr(verify, "_Options", Recording)
-    CLAIMS["thm-main"](256)
-    # both sweeps fill one table
-    table, = [t for t in tables if t]
-    assert table.cap == {2: 3, 3: 2}
-    redirected = 0
-    for (p, a, b), entry in table.items():
-        if p in table.cap:
-            key = p, _cap(a, table.cap[p]), _cap(b, table.cap[p])
-            assert key in table and table[key] is entry, (p, a, b)
-            redirected += key != (p, a, b)
-        assert entry == _entry_without_table(
-            "extension", PA4P, p, a, b), (p, a, b)
-    assert redirected > 100
+    monkeypatch.setattr(verify, "_zero_pairs", recording)
+    run_claim(claim, 4096)
+    assert len(built) == len({(s.step, s.target) for s in claim.sweeps})
+    pairs = {}
+    for table, left, right in joins:
+        for p in table.cap:
+            # a join without right members looks up (p, cap a, ())
+            pairs.setdefault((id(table), p), set()).update(itertools.product(
+                {t.get(p, ()) for t in left},
+                {t.get(p, ()) for t in right} or {()}))
+    compared = 0
+    for table in built:
+        step, target = table.step, table.target
+        assert all(p == 0 or p in table.cap for p, _, _ in table)
+        for p in table.cap:
+            those = pairs[id(table), p]
+            assert {key for key in table if key[0] == p} == {
+                _join_key(table, p, a, v) for a, v in those}, (step, p)
+            for a, v in those:
+                assert table[_join_key(table, p, a, v)] == (
+                    _entry_without_table(step, target, p, a, v)), (p, a, v)
+            compared += len(those)
+    assert compared > 1000
+    assert max(size(a) + size(v) for those in pairs.values()
+               for a, v in those) == 24
 
 
 def test_outside_runs_only_on_witness_pairs(monkeypatch):
