@@ -7,14 +7,16 @@ coefficient for the p-types of H and K.  extension_set enumerates all
 extensions by combining the per-prime supports (lr_support).
 
 brute_force_is_extension answers the same question at the element level,
-with no tableau combinatorics: it enumerates every subgroup S of each
-p-part of G, each exactly once, by a reverse search over bitmask element
-sets, and compares isomorphism types of S and G/S, recovered from the
-order statistics |A[p^j]| = p**(sum_i min(a_i, j)) by popcounts.  It
+with no tableau combinatorics: it enumerates every subgroup S of order at
+most p^(n // 2) of each p-part of G of order p^n, each exactly once, by a
+reverse search over bitmask element sets, and compares isomorphism types
+of S and G/S, recovered from the order statistics
+|A[p^j]| = p**(sum_i min(a_i, j)) by popcounts.  By duality the larger
+subgroups give the same pairs swapped (subgroup_quotient_types).  It
 exists to cross-validate the coefficient criterion and is exhaustive
 below its configured bound; a p-part with more than MAX_SUBGROUPS
-subgroups raises ResourceLimitError instead.  So does extension_set when
-a pair has more than MAX_EXTENSIONS extensions.
+subgroups of that order raises ResourceLimitError instead.  So does
+extension_set when a pair has more than MAX_EXTENSIONS extensions.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from .lr import lr_positive, lr_support
 from .partitions import Partition, conjugate
 
 DEFAULT_ORACLE_BOUND = 1024
-# most subgroups the oracle visits in one p-part before it gives up: Z/2^8
-# has 417,199 and Z/4^5 55,989, but Z/2^10 has 229,755,605
+# most subgroups the oracle visits in one p-part of order p^n (those of
+# order at most p^(n // 2)) before it gives up: 308,993 for Z/2^8, 37,140
+# for Z/4^5 and 782,324 for Z/8 x Z/2^7, but 169,488,628 for Z/2^10
 MAX_SUBGROUPS = 10 ** 6
 # most extensions extension_set returns: Z/30030^10 by itself has 11^6
 MAX_EXTENSIONS = 10 ** 6
@@ -103,7 +106,7 @@ def brute_force_is_extension(g: AbelianGroup, h: AbelianGroup,
 
     Raises ResourceLimitError when some p-part of g has order beyond
     oracle_bound (reduce the instance or raise the bound) or more than
-    MAX_SUBGROUPS subgroups.
+    MAX_SUBGROUPS subgroups of order at most the square root of its own.
     """
     for p in g.primes:
         if p ** sum(g.p_part(p)) > oracle_bound:
@@ -118,7 +121,17 @@ def brute_force_is_extension(g: AbelianGroup, h: AbelianGroup,
 @lru_cache(maxsize=None)
 def subgroup_quotient_types(p: int, parts: Partition) -> frozenset:
     """All (subgroup type, quotient type) pairs inside the p-group of the
-    given type, by exhaustive subgroup enumeration (_subgroup_masks).
+    given type, by exhaustive enumeration (_subgroup_masks) of the
+    subgroups of order at most p^(n // 2), where p^n = |G|.
+
+    The set is closed under swapping the pair, so that lower half is
+    enough.  Let G^ = Hom(G, Q/Z) be the dual of G; G^ is isomorphic to G.
+    The annihilator S' = {f : f(S) = 0} of S <= G is the dual of G/S, and
+    restriction maps G^ onto S^ (Q/Z is divisible) with kernel S', so
+    S' is isomorphic to G/S and G^/S' to S.  Carried into G by an
+    isomorphism G^ -> G, S' gives a subgroup with the swapped pair.  When
+    |S| > p^(n // 2), |S'| = p^n / |S| <= p^(n - n // 2 - 1) <= p^(n // 2),
+    so every pair not found directly is the swap of one that is.
 
     Types come from order statistics counted by popcount: with G[p^j] the
     elements killed by p^j, |S[p^j]| = |S & G[p^j]|, and
@@ -140,7 +153,7 @@ def subgroup_quotient_types(p: int, parts: Partition) -> frozenset:
     # each tuple holds |S|, |S[p^j]| for 0 < j < top, |S & p^jG| for 0 < j < top
     masks = [killed[top], *killed[1:top], *multiples[1:top]]
     counts = {tuple([(s & m).bit_count() for m in masks])
-              for s in _subgroup_masks(p, parts)}
+              for s in _subgroup_masks(p, parts, p ** (sum(parts) // 2))}
 
     g_killed = [m.bit_count() for m in killed]
     pairs = set()
@@ -150,7 +163,7 @@ def subgroup_quotient_types(p: int, parts: Partition) -> frozenset:
         quo_orders = [a * b // size for a, b in zip(image_sizes, g_killed)]
         pairs.add((_type_from_orders(sub_orders, p),
                    _type_from_orders(quo_orders, p)))
-    return frozenset(pairs)
+    return frozenset(pairs | {(q, s) for s, q in pairs})
 
 
 def _type_from_orders(orders, p: int) -> Partition:
@@ -176,9 +189,11 @@ def _elements(p: int, parts: Partition):
         yield coords, tuple([valuation[x] for x in coords])
 
 
-def _subgroup_masks(p: int, parts: Partition) -> Iterator[int]:
-    """Every subgroup of the p-group G of type parts, once each, as a
-    bitmask over element indices (the order of _elements).  Raises
+def _subgroup_masks(p: int, parts: Partition,
+                    _max_order: int | None = None) -> Iterator[int]:
+    """Every subgroup of the p-group G of type parts of order at most
+    _max_order, a power of p (default |G|, so every subgroup), once each,
+    as a bitmask over element indices (the order of _elements).  Raises
     ResourceLimitError rather than visit more than MAX_SUBGROUPS.
 
     Reverse search (Avis and Fukuda, 1996) over a tree whose root is 0.
@@ -202,6 +217,11 @@ def _subgroup_masks(p: int, parts: Partition) -> Iterator[int]:
     subgroup but 0 is a child of its parent alone: every subgroup is
     visited exactly once, and no set of seen subgroups is needed.
 
+    A parent has order |T| / p, so every ancestor of a subgroup of order
+    at most _max_order has order below it.  Growing no children from a
+    subgroup of order _max_order or more therefore still visits each
+    subgroup of order at most _max_order, and none larger.
+
     Sets are bitmasks, and adding t * e_c moves the elements with
     x_c < p^parts[c] - t up by t weights of c and wraps the rest down,
     so no addition table is built.
@@ -212,6 +232,7 @@ def _subgroup_masks(p: int, parts: Partition) -> Iterator[int]:
     moduli = [p ** e for e in parts]
     weights = [prod(moduli[c + 1:]) for c in range(len(parts))]
     n = prod(moduli)
+    max_order = n if _max_order is None else _max_order
     full = (1 << n) - 1
     # starts[j]: the index i of L_i for the pair (j, 0); starts[top] = n
     starts = list(itertools.accumulate(conjugate(parts), initial=0))
@@ -254,6 +275,8 @@ def _subgroup_masks(p: int, parts: Partition) -> Iterator[int]:
                 f"the {p}-group of type {list(parts)} has more than "
                 f"{MAX_SUBGROUPS} subgroups")
         yield s
+        if s.bit_count() >= max_order:
+            continue
         omega = 0  # the x with p*x in s
         rest = s & p_multiples
         while rest:

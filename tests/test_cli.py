@@ -53,15 +53,25 @@ def test_ext_check_oracle_skipped_beyond_bound(capsys):
 
 def test_ext_check_homocyclic_witness(capsys):
     # the largest p-part the default --oracle-bound admits, with 55,989
-    # subgroups
+    # subgroups, 37,140 of them of order at most 2^5
     code = run(["ext", "--check", "Z/4^5", "Z/4^2 x Z/2", "Z/4^2 x Z/2"])
     assert code == 0
     assert get_output(capsys) == "criterion: true\noracle: true"
 
 
+def test_ext_check_lower_half_fits_under_subgroup_cap(capsys):
+    # Z/8 x Z/2^7 has 1,193,173 subgroups, more than MAX_SUBGROUPS, but the
+    # oracle visits only the 782,324 of order at most 2^5
+    code = run(["ext", "--check", "Z/8 x Z/2^7", "Z/4 x Z/2^3",
+                "Z/2 x Z/2^4"])
+    assert code == 0
+    assert get_output(capsys) == "criterion: true\noracle: true"
+
+
 def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
-    # Z/2^10 fits the default --oracle-bound but has 229,755,605 subgroups:
-    # the oracle stops at MAX_SUBGROUPS instead of hanging
+    # Z/2^10 fits the default --oracle-bound but has 169,488,628 subgroups
+    # of order at most 2^5, the ones the oracle visits: it stops at
+    # MAX_SUBGROUPS instead of hanging
     start = time.perf_counter()
     code = run(["ext", "--check", "Z/2^10", "Z/2^5", "Z/2^5"])
     elapsed = time.perf_counter() - start

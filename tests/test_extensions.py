@@ -178,8 +178,9 @@ def _p_types(bounds):
             n += 1
 
 
+# every p-type the perfbench oracle workload draws
 @pytest.mark.parametrize("p, parts",
-                         list(_p_types({2: 64, 3: 81, 5: 125, 7: 49})),
+                         list(_p_types({2: 128, 3: 243, 5: 125, 7: 49})),
                          ids=str)
 def test_subgroup_enumeration_matches_breadth_first_search(p, parts):
     masks = list(_subgroup_masks(p, parts))
@@ -187,6 +188,28 @@ def test_subgroup_enumeration_matches_breadth_first_search(p, parts):
     assert set(masks) == naive_subgroups(p, parts)
     assert subgroup_quotient_types(p, parts) == \
         naive_subgroup_quotient_types(p, parts)
+
+
+@pytest.mark.parametrize("p, parts",
+                         list(_p_types({2: 64, 3: 81, 5: 125, 7: 49})),
+                         ids=str)
+def test_order_limit_keeps_exactly_the_lower_subgroups(p, parts):
+    limit = p ** (sum(parts) // 2)
+    masks = list(_subgroup_masks(p, parts, limit))
+    assert len(set(masks)) == len(masks)
+    assert set(masks) == {s for s in naive_subgroups(p, parts)
+                          if s.bit_count() <= limit}
+
+
+@pytest.mark.parametrize("p, parts",
+                         list(_p_types({2: 64, 3: 81, 5: 125, 7: 49})),
+                         ids=str)
+def test_subgroup_quotient_types_are_closed_under_swap(p, parts):
+    # duality: the pairs of all subgroups (the breadth-first search's) are
+    # closed under swap, and so are the mirrored pairs of the lower half
+    for pairs in (naive_subgroup_quotient_types(p, parts),
+                  subgroup_quotient_types(p, parts)):
+        assert {(q, s) for s, q in pairs} == pairs
 
 
 def test_subgroup_enumeration_stops_at_the_cap(monkeypatch):
