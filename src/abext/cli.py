@@ -22,9 +22,8 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .extensions import (DEFAULT_ORACLE_BOUND, ResourceLimitError,
-                         brute_force_is_extension, extension_set,
-                         is_extension)
+from .extensions import (ResourceLimitError, brute_force_is_extension,
+                         extension_set, is_extension)
 from .families import (TABLES, enumerate_family, family_contains, get_family,
                        render_pattern)
 from .groups import AbelianGroup
@@ -53,13 +52,6 @@ def _positive(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _oracle_bound(text: str) -> int:
-    value = _positive(text)
-    if value > DEFAULT_ORACLE_BOUND:
-        raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_ORACLE_BOUND}")
     return value
 
 
@@ -96,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="decide whether G is an extension of K by H and "
                         "cross-check with the element-level oracle")
-    p.add_argument("--oracle-bound", type=_oracle_bound,
-                   default=DEFAULT_ORACLE_BOUND,
-                   help="largest p-part order the oracle will enumerate "
-                        f"(default and maximum {DEFAULT_ORACLE_BOUND})")
 
     p = sub.add_parser("member", parents=[common],
                        help="membership of a group in a built-in family")
@@ -159,7 +147,7 @@ def _cmd_ext(args) -> _Output:
         g, h, k = groups
         criterion = is_extension(g, h, k)
         try:
-            oracle = brute_force_is_extension(g, h, k, args.oracle_bound)
+            oracle = brute_force_is_extension(g, h, k)
         except ResourceLimitError:
             oracle = None
         oracle_text = "skipped" if oracle is None else json.dumps(oracle)

@@ -13,10 +13,11 @@ reverse search over bitmask element sets, and compares isomorphism types
 of S and G/S, recovered from the order statistics
 |A[p^j]| = p**(sum_i min(a_i, j)) by popcounts.  By duality the larger
 subgroups give the same pairs swapped (subgroup_quotient_types).  It
-exists to cross-validate the coefficient criterion and is exhaustive
-below its configured bound; a p-part with more than MAX_SUBGROUPS
-subgroups of that order raises ResourceLimitError instead.  So does
-extension_set when a pair has more than MAX_EXTENSIONS extensions.
+exists to cross-validate the coefficient criterion and is exhaustive on
+p-parts of order up to oracle_bound (DEFAULT_ORACLE_BOUND, as ext --check
+uses it); a larger p-part, or one with more than MAX_SUBGROUPS subgroups
+of that order, raises ResourceLimitError instead.  So does extension_set
+when a pair has more than MAX_EXTENSIONS extensions.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ def _elements(p: int, parts: Partition):
 
 
 def _subgroup_masks(p: int, parts: Partition,
-                    _max_order: int | None = None) -> Iterator[int]:
+                    max_order: int) -> Iterator[int]:
     """Every subgroup of the p-group G of type parts of order at most
-    _max_order, a power of p (default |G|, so every subgroup), once each,
-    as a bitmask over element indices (the order of _elements).  Raises
+    max_order, a power of p (|G| for every subgroup), once each, as a
+    bitmask over element indices (the order of _elements).  Raises
     ResourceLimitError rather than visit more than MAX_SUBGROUPS.
 
     Reverse search (Avis and Fukuda, 1996) over a tree whose root is 0.
@@ -218,9 +219,9 @@ def _subgroup_masks(p: int, parts: Partition,
     visited exactly once, and no set of seen subgroups is needed.
 
     A parent has order |T| / p, so every ancestor of a subgroup of order
-    at most _max_order has order below it.  Growing no children from a
-    subgroup of order _max_order or more therefore still visits each
-    subgroup of order at most _max_order, and none larger.
+    at most max_order has order below it.  Growing no children from a
+    subgroup of order max_order or more therefore still visits each
+    subgroup of order at most max_order, and none larger.
 
     Sets are bitmasks, and adding t * e_c moves the elements with
     x_c < p^parts[c] - t up by t weights of c and wraps the rest down,
@@ -232,7 +233,6 @@ def _subgroup_masks(p: int, parts: Partition,
     moduli = [p ** e for e in parts]
     weights = [prod(moduli[c + 1:]) for c in range(len(parts))]
     n = prod(moduli)
-    max_order = n if _max_order is None else _max_order
     full = (1 << n) - 1
     # starts[j]: the index i of L_i for the pair (j, 0); starts[top] = n
     starts = list(itertools.accumulate(conjugate(parts), initial=0))

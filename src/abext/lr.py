@@ -29,9 +29,12 @@ ValueError.
 
 Only the filling search recurses, one Python frame per cell.  Fillings of
 more than MAX_DEPTH cells raise ResourceLimitError instead of overflowing
-the interpreter's stack.  lr_support also refuses shapes of more than
-MAX_DEPTH rows, though nothing recurses per row: the CLI documents both
-limits as exit 3.
+the interpreter's stack.  _lr_support also refuses products of more than
+MAX_DEPTH rows or cells: nothing recurses there, but the limits bound how
+many shapes it returns and how large.  Without them lr_support((10**8,),
+(10**8,)) would return 10^8 + 1 shapes, and ext "Z/2^100000" "Z/2^100000"
+would build 100,001 results of up to 200,000 parts.  The CLI documents
+both limits as exit 3.
 """
 
 from __future__ import annotations

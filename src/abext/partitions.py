@@ -21,7 +21,10 @@ def make_partition(raw: Iterable[int]) -> Partition:
     if not all(type(x) is int and x >= 0 for x in parts):
         raise ValueError(
             f"partition entries must be nonnegative integers, got {parts!r}")
-    return tuple(sorted((x for x in parts if x), reverse=True))
+    canon = tuple(sorted((x for x in parts if x), reverse=True))
+    # a canonical tuple comes back as itself, so that groups built from
+    # memoized supports share those tuples instead of holding copies
+    return raw if type(raw) is tuple and canon == raw else canon
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -45,14 +48,15 @@ def test_ext_check_negative(capsys):
 
 
 def test_ext_check_oracle_skipped_beyond_bound(capsys):
-    code = run(["ext", "--check", "Z/4^5", "Z/4^2 x Z/2", "Z/4^2 x Z/2",
-                "--oracle-bound", "64", "--format", "json"])
+    # Z/4^6 has order 4096, past DEFAULT_ORACLE_BOUND: skipped at once
+    code = run(["ext", "--check", "Z/4^6", "Z/4^3", "Z/4^3",
+                "--format", "json"])
     assert code == 0
     assert json.loads(get_output(capsys)) == {"criterion": True, "oracle": None}
 
 
 def test_ext_check_homocyclic_witness(capsys):
-    # the largest p-part the default --oracle-bound admits, with 55,989
+    # the largest p-part the oracle's order limit admits, with 55,989
     # subgroups, 37,140 of them of order at most 2^5
     code = run(["ext", "--check", "Z/4^5", "Z/4^2 x Z/2", "Z/4^2 x Z/2"])
     assert code == 0
@@ -69,7 +73,7 @@ def test_ext_check_lower_half_fits_under_subgroup_cap(capsys):
 
 
 def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
-    # Z/2^10 fits the default --oracle-bound but has 169,488,628 subgroups
+    # Z/2^10 fits the oracle's order limit but has 169,488,628 subgroups
     # of order at most 2^5, the ones the oracle visits: it stops at
     # MAX_SUBGROUPS instead of hanging
     start = time.perf_counter()
@@ -80,32 +84,19 @@ def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
     assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
-@pytest.mark.parametrize("groups, bound", [
-    (["Z/2", "1", "Z/2"], "1025"),
-    # the oracle's work per subgroup grows with the p-part, so this one
-    # would run for minutes under MAX_SUBGROUPS
-    (["Z/2^16", "Z/2^8", "Z/2^8"], "65536"),
-])
-def test_oracle_bound_past_default_is_a_usage_error(capsys, groups, bound):
+def test_oracle_bound_is_a_usage_error(capsys):
     start = time.perf_counter()
-    assert run(["ext", "--check", *groups, "--oracle-bound", bound]) == 64
+    assert run(["ext", "--check", "Z/2", "1", "Z/2",
+                "--oracle-bound", "64"]) == 64
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert err.endswith("argument --oracle-bound: must be <= 1024\n")
-
-
-def test_oracle_bound_at_default_answers(capsys):
-    assert run(["ext", "--check", "Z/2", "1", "Z/2",
-                "--oracle-bound", "1024"]) == 0
-    assert get_output(capsys) == "criterion: true\noracle: true"
+    assert err.endswith("unrecognized arguments: --oracle-bound 64\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
     (["enumerate", "--family", "A1", "--bound", "x"], "--bound"),
     (["verify", "thm-main", "--bound", "1.5"], "--bound"),
-    (["ext", "--check", "Z/2", "1", "Z/2", "--oracle-bound", "x"],
-     "--oracle-bound"),
 ])
 def test_non_integer_flag_names_no_private_function(capsys, argv, flag):
     assert run(argv) == 64
@@ -113,7 +104,7 @@ def test_non_integer_flag_names_no_private_function(capsys, argv, flag):
     assert "usage:" in err
     value = argv[-1]
     assert err.endswith(f"argument {flag}: invalid int value: {value!r}\n")
-    assert "_positive" not in err and "_oracle_bound" not in err
+    assert "_positive" not in err
 
 
 def test_ext_wrong_arity(capsys):
@@ -200,6 +191,26 @@ def test_ext_result_budget_exit_code(capsys):
     assert capsys.readouterr().err == (
         "abext: resource limit: 1771561 extensions exceed the limit of "
         "1000000\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads the peak RSS from /proc/self/status")
+def test_ext_many_results_memory_ceiling():
+    # 10,201 groups that share the memoized support tuples peak at about
+    # 26 MB; a copy of each partition per group took 52 MB.  A fresh
+    # process, read through VmHWM as in test_verify's claim ceilings.
+    code = ("import sys; from abext.cli import run; "
+            "code = run(['ext', 'Z/6^100', 'Z/6^100']); "
+            "print(open('/proc/self/status').read()); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    lines = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    # 101 shapes at each prime, then the status file
+    assert lines[10200] == "Z/6^200" and lines[10201].startswith("Name:")
+    peak_kib = next(int(line.split()[1]) for line in lines
+                    if line.startswith("VmHWM:"))
+    assert peak_kib < 40 * 1024
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,10 +5,12 @@ error), print no traceback and answer within CALL_SECONDS.  Inputs stay
 where the program must answer quickly: at most two cyclic factors of
 order up to 20 with repetition exponents up to 4, partitions with entries
 up to 12 and at most three rows (two for one factor of lr-expand, six for
-an lr-coeff target), and --bound up to 32.  One huge repetition exponent
-checks the factor limit.  Larger LR inputs are out of range: the tableau
-search has no work bound yet, and lr-expand [12,9,5] [12,9,5] alone takes
-seconds.
+an lr-coeff target), and --bound up to 32.  ext --check draws no G with
+a p-part of order from 129 to DEFAULT_ORACLE_BOUND: the element-level
+oracle enumerates those, up to seconds each, while it skips a larger
+p-part at once.  One huge repetition exponent checks the factor limit.
+Larger LR inputs are out of range: the tableau search has no work bound
+yet, and lr-expand [12,9,5] [12,9,5] alone takes seconds.
 """
 
 import contextlib
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abext.cli import run
+from abext.extensions import DEFAULT_ORACLE_BOUND, ResourceLimitError
 from abext.families import BUILTIN_FAMILIES
+from abext.groups import AbelianGroup
 from abext.verify import CLAIMS
 
 EXIT_CODES = {0, 1, 2, 3, 64}
@@ -35,6 +39,15 @@ group = st.one_of(
     st.builds(str.join, st.sampled_from([" x ", "*", "×", "x"]),
               st.lists(factor, min_size=1, max_size=2)),
     st.sampled_from(["1", "Z/2^100000000000000000000"]), junk)
+
+
+def _oracle_answers_quickly(text):
+    try:
+        types = AbelianGroup.parse(text).prime_types().items()
+    except (ValueError, ResourceLimitError):
+        return True  # ext --check stops before the oracle
+    largest = max((p ** sum(parts) for p, parts in types), default=1)
+    return largest <= 128 or largest > DEFAULT_ORACLE_BOUND
 
 
 def _partition(max_size):
@@ -56,8 +69,8 @@ calls = st.one_of(
     expand_pair.map(lambda pair: ("lr-expand", *pair)),
     st.tuples(st.just("lr-coeff"), partition, partition, _partition(6)),
     st.tuples(st.just("ext"), group, group),
-    st.tuples(st.just("ext"), st.just("--check"), group, group, group,
-              st.just("--oracle-bound"), st.integers(1, 128).map(str)),
+    st.tuples(st.just("ext"), st.just("--check"),
+              group.filter(_oracle_answers_quickly), group, group),
     st.tuples(st.just("member"), group, st.just("--family"), family),
     st.tuples(st.just("enumerate"), st.just("--family"), family,
               st.just("--bound"), bound),

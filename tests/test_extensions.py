@@ -10,6 +10,7 @@ from abext.extensions import (GroupSet, ResourceLimitError,
                               set_product, subgroup_quotient_types)
 from abext.families import A1, enumerate_family
 from abext.groups import AbelianGroup, TRIVIAL, parse_group
+from abext.lr import lr_support
 from abext.partitions import componentwise_sum
 from abext.verify import CLAIMS
 
@@ -56,6 +57,16 @@ def test_extension_set_multi_prime():
     k = parse_group("Z/2")
     assert extension_set(h, k) == gs("Z/12", "Z/6 x Z/2")
 
+
+def test_extension_set_shares_the_memoized_supports():
+    # each group holds the tuples lr_support returned, not copies of them
+    h = parse_group("Z/6^20")
+    supports = {p: lr_support(h.p_part(p), h.p_part(p)) for p in (2, 3)}
+    result = extension_set(h, h)
+    assert len(result) == 21 ** 2
+    for g in result:
+        for p, support in supports.items():
+            assert any(g.p_part(p) is mu for mu in support)
 
 
 def test_extension_set_budget(monkeypatch):
@@ -164,7 +175,7 @@ def test_subgroup_quotient_types_klein():
 def test_subgroup_masks_of_elementary_2_groups():
     # the number of subspaces of GF(2)^n, each visited once
     for n, count in enumerate([1, 2, 5, 16, 67, 374, 2825, 29212]):
-        masks = list(_subgroup_masks(2, (1,) * n))
+        masks = list(_subgroup_masks(2, (1,) * n, 2 ** n))
         assert len(masks) == count
         assert len(set(masks)) == count
 
@@ -183,7 +194,7 @@ def _p_types(bounds):
                          list(_p_types({2: 128, 3: 243, 5: 125, 7: 49})),
                          ids=str)
 def test_subgroup_enumeration_matches_breadth_first_search(p, parts):
-    masks = list(_subgroup_masks(p, parts))
+    masks = list(_subgroup_masks(p, parts, p ** sum(parts)))
     assert len(set(masks)) == len(masks)
     assert set(masks) == naive_subgroups(p, parts)
     assert subgroup_quotient_types(p, parts) == \
@@ -215,10 +226,10 @@ def test_subgroup_quotient_types_are_closed_under_swap(p, parts):
 def test_subgroup_enumeration_stops_at_the_cap(monkeypatch):
     # (Z/2)^3 has 16 subgroups
     monkeypatch.setattr(extensions, "MAX_SUBGROUPS", 16)
-    assert len(list(_subgroup_masks(2, (1, 1, 1)))) == 16
+    assert len(list(_subgroup_masks(2, (1, 1, 1), 8))) == 16
     monkeypatch.setattr(extensions, "MAX_SUBGROUPS", 15)
     with pytest.raises(ResourceLimitError, match="more than 15 subgroups"):
-        list(_subgroup_masks(2, (1, 1, 1)))
+        list(_subgroup_masks(2, (1, 1, 1), 8))
 
 
 def test_oracle_agreement_small():

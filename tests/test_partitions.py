@@ -11,21 +11,41 @@ partitions = st.lists(st.integers(min_value=0, max_value=6), max_size=5).map(
 
 
 def test_make_partition_canonicalizes():
-    assert make_partition([1, 2, 0, 2]) == (2, 2, 1)
-    assert make_partition([]) == ()
-    assert make_partition([3, 3, 2, 1]) == (3, 3, 2, 1)
+    for raw, expected in [([1, 2, 0, 2], (2, 2, 1)), ([], ()),
+                          ([3, 3, 2, 1], (3, 3, 2, 1)),
+                          ((1, 2, 2), (2, 2, 1)), ((2, 0, 1), (2, 1)),
+                          ((0,), ())]:
+        canon = make_partition(raw)
+        assert type(canon) is tuple and canon == expected
+        assert canon is not raw
+
+
+def test_make_partition_returns_a_canonical_tuple_itself():
+    for raw in [(3, 3, 2, 1), (1,), ()]:
+        assert make_partition(raw) is raw
+
+
+def _assert_rejected(raw):
+    with pytest.raises(ValueError) as info:
+        make_partition(raw)
+    assert str(info.value) == ("partition entries must be nonnegative "
+                               f"integers, got {list(raw)!r}")
 
 
 def test_make_partition_rejects_negative():
-    with pytest.raises(ValueError):
-        make_partition([2, -1])
+    for raw in ([2, -1], (2, -1), (-1,)):
+        _assert_rejected(raw)
 
 
 def test_make_partition_rejects_bools():
     # True == 1, but a bool is not a part
-    for raw in ([True, 2], [False], [2, 1, True]):
-        with pytest.raises(ValueError):
-            make_partition(raw)
+    for raw in ([True, 2], [False], [2, 1, True], (2, True), (True,)):
+        _assert_rejected(raw)
+
+
+def test_make_partition_rejects_floats():
+    for raw in ([1.5], (2.0, 1), (1.0,)):
+        _assert_rejected(raw)
 
 
 def test_size():
