@@ -84,14 +84,20 @@ def test_ext_check_oracle_skipped_past_subgroup_cap(capsys):
     assert elapsed < 60, f"took {elapsed:.1f} s"
 
 
-def test_oracle_bound_is_a_usage_error(capsys):
+@pytest.mark.parametrize("groups, bound", [
+    (["Z/2", "1", "Z/2"], "1025"),
+    # the oracle's work per subgroup grows with the p-part, so a raised
+    # bound here would run for minutes under MAX_SUBGROUPS
+    (["Z/2^16", "Z/2^8", "Z/2^8"], "65536"),
+])
+def test_oracle_bound_past_default_is_a_usage_error(capsys, groups, bound):
+    # ext has no --oracle-bound: any value is refused before the oracle runs
     start = time.perf_counter()
-    assert run(["ext", "--check", "Z/2", "1", "Z/2",
-                "--oracle-bound", "64"]) == 64
+    assert run(["ext", "--check", *groups, "--oracle-bound", bound]) == 64
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "usage:" in err
-    assert err.endswith("unrecognized arguments: --oracle-bound 64\n")
+    assert err.endswith(f"unrecognized arguments: --oracle-bound {bound}\n")
 
 
 @pytest.mark.parametrize("argv, flag", [
