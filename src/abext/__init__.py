@@ -4,7 +4,8 @@ The package decides when a finite abelian group is an extension of one
 group by another (a positive Littlewood-Richardson coefficient per prime),
 enumerates all such extensions, matches groups against parameterized
 classification families, and verifies the family closure claims at bounded
-order against an independent element-level oracle.
+order.  `ext --check` and the tests cross-check the criterion against an
+independent element-level oracle; the claims' sweeps do not call it.
 """
 
 from .extensions import (DEFAULT_ORACLE_BOUND, GroupSet, ResourceLimitError,

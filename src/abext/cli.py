@@ -32,15 +32,18 @@ from .partitions import format_partition, parse_partition
 from .verify import CLAIMS, DEFAULT_BOUND
 
 
-class _UsageError(Exception):
-    def __init__(self, message, usage=""):
-        super().__init__(message)
-        self.usage = usage
-
-
 class _Parser(argparse.ArgumentParser):
+    # argparse parses a subcommand's arguments with that subcommand's
+    # parser, so each parser reports its own leftovers under its own usage
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
-        raise _UsageError(message, self.format_usage())
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def _positive(text: str) -> int:
@@ -143,7 +146,7 @@ def _cmd_ext(args) -> _Output:
     groups = [AbelianGroup.parse(text) for text in args.groups]
     if args.check:
         if len(groups) != 3:
-            raise _UsageError("ext --check expects three groups: G H K")
+            raise ValueError("ext --check expects three groups: G H K")
         g, h, k = groups
         criterion = is_extension(g, h, k)
         try:
@@ -155,7 +158,7 @@ def _cmd_ext(args) -> _Output:
                        f"criterion: {json.dumps(criterion)}\n"
                        f"oracle: {oracle_text}")
     if len(groups) != 2:
-        raise _UsageError("ext expects two groups: H K")
+        raise ValueError("ext expects two groups: H K")
     names = [str(g) for g in extension_set(*groups)]
     return _Output(names, "\n".join(names) or "(empty)")
 
@@ -226,13 +229,8 @@ def run(argv: list[str] | None = None) -> int:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(output)
             except OSError as err:
-                raise _UsageError(f"cannot write {args.out}: "
-                                  f"{err.strerror}") from None
-    except _UsageError as err:
-        if err.usage:
-            print(err.usage.rstrip(), file=sys.stderr)
-        print(f"abext: error: {err}", file=sys.stderr)
-        return 64
+                raise ValueError(f"cannot write {args.out}: "
+                                 f"{err.strerror}") from None
     except (ValueError, KeyError) as err:
         message = err.args[0] if err.args else err
         print(f"abext: error: {message}", file=sys.stderr)

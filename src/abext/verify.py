@@ -22,9 +22,8 @@ p-type at a target prime as it enters, every part above c lowered to c:
 E + 1 for extension and product, as rows read no more of a p-type (E the
 largest exponent they fix at p), and max(2E + 1, 2) for closure (Z/p^2
 extends Z/p by Z/p; Z/p does not), and keys every other prime as class 0.
-This rests on a lemma, tested to 24 boxes (all a window of 4096 pairs)
-but not proved: the caps of lr_support(a, b) are those of
-lr_support(cap a, cap b).
+The capping lemma below proves E + 1 exact; the closure cap is tested,
+not proved.
 run_claim reads members as prime types from families._member_types and
 does not loop over pairs: _zero_pairs joins each left member with all
 right members at once and yields exactly the pairs where one mask per
@@ -48,6 +47,35 @@ a function of its parameters that returns (lam, nu, reference), and runs
 at every value 1, 2, 3 of each parameter that makes lam and nu partitions.
 Ten references list the exact support, without the terms that stop being
 partitions at small parameters; two list the shapes every term must fit.
+
+The capping lemma.  Let cap_c(mu) be mu with every part above c lowered
+to c.  For partitions a, b and c >= 1, the caps of lr_support(a, b) are
+the caps of lr_support(cap_c a, cap_c b).  Proof.  By Green's theorem
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. II, section 4;
+Fulton, Bull. AMS 37 (2000); lr_positive rests on it), lr_support(a, b)
+is the set of types of the finite abelian p-groups G with a subgroup A
+of type a and G/A of type b; and the type of X/p^cX is cap_c of the type
+of X.  Subgroup side: A/p^cA, of type cap_c a, is a subgroup of G/p^cA
+with quotient B = G/A, and G/p^cA has the cap of G: p^cA lies in p^cG,
+so (G/p^cA)/p^c(G/p^cA) = G/p^cG.  Every extension of B by A/p^cA arises
+so, as G -> G/p^cA is the pushout along the surjection A -> A/p^cA, and
+Ext^1(B, A) -> Ext^1(B, A/p^cA) is onto because Ext^2 vanishes over Z.
+So the caps over (a, b) are those over (cap_c a, b).  Quotient side:
+c^mu_ab = c^mu_ba, the duality G -> Hom(G, Q/Z) that
+subgroup_quotient_types spells out, so the same step caps b.  Hence
+extension tables are exact at c = E + 1: FamilyPattern.admits reads at p
+only len(parts) and parts.count(e) for fixed e <= E, and cap_(E+1) keeps
+both.  Product tables are exact too, as union_merge commutes with caps.
+
+The closure cap C = max(2E + 1, 2) is tested, to 24 boxes (all a window
+of 4096 pairs), but not proved: _reach must read only cap_C mu, and that
+does not follow from the lemma.  At p = 2 and E = 1 (c = 2, C = 3), Z/16
+has the subgroup Z/4 with quotient Z/4, capped ((2), (2)), and no pair
+of Z/8 caps to that, though both groups cap to (3).  Their masks agree
+because admission is monotone: lowering a part above E to some e <= E
+keeps len(parts) and raises count(e), so every row that admits a p-type
+admits the result, and Z/8's ((1), (2)) covers Z/16's ((2), (2)).  A
+proof must use this monotonicity; the tests pin both it and this pair.
 """
 
 from __future__ import annotations
@@ -68,7 +96,7 @@ from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)
 
 DEFAULT_BOUND = 64
-# claim time about doubles per doubling of the bound: 1.6 s at most at 4096
+# claim time about doubles per doubling of the bound: 1.0 s at most at 4096
 # (CPU time, Python 3.11 on a shared 2-core machine)
 MAX_VERIFY_BOUND = 4096
 
@@ -297,11 +325,11 @@ class _Options(dict):
     and (p, b, a) share one entry, filled once.  cap[p], at each p in
     target.primes, is the part size to which the join lowers p-types
     before it looks them up: E + 1, or max(2E + 1, 2) for closure, with E
-    the largest exponent target's rows fix at p (the module docstring says
-    why; the lemma behind it is tested, not proved).  Its keys hold no
-    Family, so a lookup hashes only ints and partitions.  full has a bit
-    for every row (every row pair for closure).  run_claim keeps one table
-    per (step, target) for the run.
+    the largest exponent target's rows fix at p (the module docstring's
+    capping lemma proves E + 1; the closure cap is tested, not proved).
+    Its keys hold no Family, so a lookup hashes only ints and partitions.
+    full has a bit for every row (every row pair for closure).  run_claim
+    keeps one table per (step, target) for the run.
     """
 
     def __init__(self, step: str, target: Family):

@@ -368,11 +368,29 @@ def test_help(capsys):
     assert exc.value.code == 0
 
 
-def test_jobs_flag_is_a_usage_error(capsys):
-    assert run(["ext", "Z/4 x Z/2", "Z/2^2", "--jobs", "4"]) == 64
+_VALID_CALLS = [
+    ["lr-expand", "[1]", "[1]"],
+    ["lr-coeff", "[1]", "[1]", "[2]"],
+    ["ext", "Z/2", "Z/2"],
+    ["member", "Z/2", "--family", "A1"],
+    ["enumerate", "--family", "A1", "--bound", "4"],
+    ["tables"],
+    ["verify", "regressions"],
+]
+
+
+@pytest.mark.parametrize("argv, usage, leftovers", [
+    *((argv + ["--bogus", "1"], f"usage: abext {argv[0]} ", "--bogus 1")
+      for argv in _VALID_CALLS),
+    (["--bogus", "ext", "Z/2", "Z/2"], "usage: abext [-h] ", "--bogus"),
+], ids=[argv[0] for argv in _VALID_CALLS] + ["before-subcommand"])
+def test_unknown_option_is_a_usage_error(capsys, argv, usage, leftovers):
+    # the parser that rejects an argument prints its own usage line
+    assert run(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --jobs 4" in captured.err
+    assert captured.err.startswith(usage)
+    assert captured.err.endswith(f"unrecognized arguments: {leftovers}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -22,12 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abext.extensions import GroupSet
-from abext.families import (EVEN, FREE, TRIPLE, Family, FamilyPattern,
+from abext.families import (A2, A3P, EVEN, FREE, PA4P, PB4P, TRIPLE,
+                            A1xA3P, A2xA2, Family, FamilyPattern,
                             _member_types, fixed, row_mask)
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import _lr_support
-from abext.partitions import union_merge
-from abext.verify import (Claim, Sweep, _Options, _outside, _reach,
+from abext.partitions import partitions_of, union_merge
+from abext.verify import (_A1xA1, Claim, Sweep, _Options, _outside, _reach,
                           _zero_pairs, run_claim)
 
 from oracles import naive_run_claim
@@ -124,3 +125,31 @@ def test_outside_matches_the_choices_on_every_pair():
         found += len(witnessed)
     # both verdicts occur
     assert 0 < found < 3 * len(left) * len(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families)
+@example(_A1xA1)
+@example(A2)
+@example(A3P)
+@example(PA4P)
+@example(PB4P)
+@example(A2xA2)
+@example(A1xA3P)
+def test_lowering_a_part_above_the_fixed_exponents_keeps_every_row(target):
+    # the closure cap rests on this monotonicity (verify's docstring): at a
+    # target prime, lowering a part above E, the largest exponent the rows
+    # fix there, to some e <= E keeps len(parts) and raises count(e), so
+    # every row that admits mu admits the result; the examples are the
+    # sweep claims' targets
+    for p, cap in _Options("extension", target).cap.items():
+        top = cap - 1
+        for mu in (mu for n in range(13) for mu in partitions_of(n)):
+            mask = row_mask(target, p, mu)
+            # mu descends, so its parts above E come first
+            for i in range(sum(part > top for part in mu)):
+                for e in range(1, top + 1):
+                    lowered = tuple(sorted(mu[:i] + (e,) + mu[i + 1:],
+                                           reverse=True))
+                    assert row_mask(target, p, lowered) & mask == mask, (
+                        target.rows, p, mu, lowered)

@@ -403,6 +403,21 @@ def test_capping_lemma_at_the_element_level():
     assert compared > 500
 
 
+def test_closure_cap_is_not_a_corollary_of_the_capping_lemma():
+    # the lemma caps (a, b) at c = E + 1, but Z/16 has a (subgroup,
+    # quotient) pair capped ((2), (2)) that no pair of Z/8 caps to, though
+    # both cap to (3) at A1's closure cap; their closure masks agree only
+    # because admission is monotone (Z/8's ((1), (2)) covers it)
+    def capped_pairs(mu):
+        return {(_cap(a, 2), _cap(b, 2))
+                for a, b in subgroup_quotient_types(2, mu)}
+
+    assert ((2,), (2,)) in capped_pairs((4,))
+    assert ((2,), (2,)) not in capped_pairs((3,))
+    assert _Options("closure", A1).cap[2] == 3
+    assert _reach(A1, 2, (3,)) == _reach(A1, 2, (4,))
+
+
 @pytest.mark.parametrize("claim", CLAIM_TABLE, ids=lambda c: c.claim_id)
 def test_joins_look_up_capped_keys(claim, monkeypatch):
     # run_claim builds one table per (step, target), and its joins look up
