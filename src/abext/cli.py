@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .extensions import (ResourceLimitError, brute_force_is_extension,
@@ -117,14 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@dataclass(frozen=True)
-class _Output:
-    """What a command produced; run() writes one form of it."""
-
-    payload: object                 # printed by --format json
-    text: str                       # printed by --format text
-    code: int = 0                   # exit code
-    details: tuple[str, ...] = ()   # lines for stderr, after the output
+# a command's result: json payload or text, lines for stderr, exit code
+_Output = namedtuple("_Output", "payload text code details", defaults=(0, ()))
 
 
 def _cmd_lr_expand(args) -> _Output:

@@ -32,9 +32,8 @@ from them at import time, and B2xB2 is A2xA2 itself (B2 = A2).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby, product
 
@@ -53,22 +52,28 @@ MAX_ENUMERATION = 1_000_000
 MAX_ENUMERATION_BOUND = 438_639
 
 
-@dataclass(frozen=True)
-class Slot:
-    """One cyclic factor of a pattern."""
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
-    kind: str
-    modulus: int = 0
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown slot kind {self.kind!r}")
-        if type(self.modulus) is not int:
-            raise ValueError(f"slot moduli must be ints, got {self.modulus!r}")
-        if self.kind == "fixed" and self.modulus < 2:
+class Slot(namedtuple("Slot", "kind modulus")):
+    """One cyclic factor of a pattern; equal and hashed as (kind, modulus)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, modulus: int = 0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown slot kind {kind!r}")
+        if type(modulus) is not int:
+            raise ValueError(f"slot moduli must be ints, got {modulus!r}")
+        if kind == "fixed" and modulus < 2:
             raise ValueError("fixed slots need a modulus >= 2")
-        if self.kind != "fixed" and self.modulus:
+        if kind != "fixed" and modulus:
             raise ValueError("only fixed slots carry a modulus")
+        return super().__new__(cls, kind, modulus)
+
+    # _replace builds through _make, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def scale(self) -> int | None:
@@ -85,36 +90,37 @@ def fixed(modulus: int) -> Slot:
     return Slot("fixed", modulus)
 
 
-@dataclass(frozen=True)
-class FamilyPattern:
+class FamilyPattern(namedtuple("FamilyPattern", "slots")):
     """A product of slots; one row of a family table.
 
-    Equality, hash and repr are by slots.  Construction compiles the slots
-    into the per-prime demands that admits reads:
+    Equality, hash and repr are by slots.  The per-prime demands that
+    admits reads are compiled from the slots on first use:
     fixed      {p: Counter of the exponents the fixed slots take at p}
     mandatory  {p: number of parameterized slots whose scale p divides}
     params     number of parameterized slots
     """
 
-    slots: tuple[Slot, ...]
-    fixed: dict[int, Counter] = field(init=False, repr=False, compare=False)
-    mandatory: dict[int, int] = field(init=False, repr=False, compare=False)
-    params: int = field(init=False, repr=False, compare=False)
+    # in the class's own __dict__, where perfbench's tracer wraps it
+    __hash__ = tuple.__hash__
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        fixed_exps: dict[int, Counter] = {}
-        mandatory: Counter = Counter()
-        params = 0
+    @cached_property
+    def fixed(self) -> dict[int, Counter]:
+        fixed: dict[int, Counter] = {}
         for slot in self.slots:
             if slot.scale is None:
                 for p, e in factorize(slot.modulus).items():
-                    fixed_exps.setdefault(p, Counter())[e] += 1
-            else:
-                params += 1
-                mandatory.update(factorize(slot.scale).keys())
-        object.__setattr__(self, "fixed", fixed_exps)
-        object.__setattr__(self, "mandatory", mandatory)
-        object.__setattr__(self, "params", params)
+                    fixed.setdefault(p, Counter())[e] += 1
+        return fixed
+
+    @cached_property
+    def mandatory(self) -> Counter:
+        return Counter(p for slot in self.slots if slot.scale
+                       for p in factorize(slot.scale))
+
+    @cached_property
+    def params(self) -> int:
+        return sum(slot.scale is not None for slot in self.slots)
 
     def admits(self, p: int, parts: Partition) -> bool:
         """True when the p-type parts meets this pattern's demands at p."""
@@ -128,17 +134,15 @@ class FamilyPattern:
         return self.mandatory.get(p, 0) <= rest <= self.params
 
 
-@dataclass(frozen=True)
-class Family:
-    """A named union of patterns and finitely many exceptional groups.
+class Family(namedtuple("Family", "name patterns exceptional",
+                        defaults=(GroupSet(),))):
+    """A named union of patterns and a GroupSet of exceptional groups.
 
     Equality is by value.  The hash is the name's: cheap, since families
     key the row_mask memo, and consistent with equality.
     """
 
-    name: str
-    patterns: tuple[FamilyPattern, ...]
-    exceptional: GroupSet = field(default_factory=GroupSet)
+    __setattr__ = __delattr__ = _read_only
 
     def __hash__(self) -> int:
         return hash(self.name)

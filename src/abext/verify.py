@@ -80,9 +80,8 @@ proof must use this monotonicity; the tests pin both it and this pair.
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from operator import and_, ge
 
@@ -101,18 +100,23 @@ DEFAULT_BOUND = 64
 MAX_VERIFY_BOUND = 4096
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one bounded verification run."""
+class VerificationReport(namedtuple(
+        "VerificationReport", "claim_id bound checked_pairs witnesses verdict "
+        "vacuous witness_sources details", defaults=(None, ()))):
+    """Outcome of one bounded verification run.  witness_sources, a new dict
+    by default and left out of the repr, maps each witness to its pairs."""
 
-    claim_id: str
-    bound: int
-    checked_pairs: int
-    witnesses: GroupSet
-    verdict: str
-    vacuous: bool
-    witness_sources: dict = field(default_factory=dict, repr=False)
-    details: tuple[str, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return (report if report.witness_sources is not None
+                else report._replace(witness_sources={}))
+
+    def __repr__(self) -> str:
+        return "VerificationReport(%s)" % ", ".join(
+            f"{k}={v!r}" for k, v in self._asdict().items()
+            if k != "witness_sources")
 
     @property
     def exit_code(self) -> int:
@@ -121,14 +125,9 @@ class VerificationReport:
         return 2 if self.vacuous else 0
 
     def to_json_obj(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "bound": self.bound,
-            "checked_pairs": self.checked_pairs,
-            "witnesses": [str(g) for g in self.witnesses],
-            "verdict": self.verdict,
-            "vacuous": self.vacuous,
-        }
+        obj = dict(self._asdict(), witnesses=[str(g) for g in self.witnesses])
+        del obj["witness_sources"], obj["details"]
+        return obj
 
 
 def _finalize(claim_id, bound, checked, witnesses, expected,
@@ -155,31 +154,33 @@ def _finalize(claim_id, bound, checked, witnesses, expected,
     )
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(namedtuple("Sweep", "step left right target")):
     """Every pair of a left and a right family member inside the window;
     each result of step ("extension", "product" or "closure") is tested
     against the target family."""
 
-    step: str
-    left: Family
-    right: Family
-    target: Family
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step not in ("extension", "product", "closure"):
-            raise ValueError(f"unknown step {self.step!r}: expected "
+    def __new__(cls, step: str, left: Family, right: Family, target: Family):
+        if step not in ("extension", "product", "closure"):
+            raise ValueError(f"unknown step {step!r}: expected "
                              f"'extension', 'product' or 'closure'")
+        return super().__new__(cls, step, left, right, target)
+
+    # _replace builds through _make, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class Claim:
-    """A bounded claim: its sweeps, and its expected witnesses, each mapped
-    to the smallest window bound whose sweep produces it."""
+class Claim(namedtuple("Claim", "claim_id sweeps expected")):
+    """A bounded claim: its sweeps, and its expected witnesses (a new empty
+    dict by default), each mapped to the smallest window bound whose sweep
+    produces it."""
 
-    claim_id: str
-    sweeps: tuple[Sweep, ...]
-    expected: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, claim_id, sweeps, expected=None):
+        return super().__new__(cls, claim_id, sweeps,
+                               {} if expected is None else expected)
 
 
 def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
@@ -507,7 +508,7 @@ def _runs(table):
     """(label, lam, nu, reference) for each case of table at every value 1,
     2, 3 of its parameters that makes lam and nu partitions."""
     for case_id, case in table:
-        names = inspect.signature(case).parameters
+        names = case.__code__.co_varnames[:case.__code__.co_argcount]
         for values in itertools.product((1, 2, 3), repeat=len(names)):
             lam, nu, reference = case(*values)
             if make_partition(lam) == lam and make_partition(nu) == nu:

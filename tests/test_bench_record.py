@@ -14,9 +14,10 @@ _SPEC.loader.exec_module(bench_record)
 LAYER = "lr.lr_expand.calls"
 
 
-def _checkout(root: Path, runs: dict) -> Path:
+def _checkout(root: Path, runs: dict, tails: dict | None = None) -> Path:
     """A checkout whose .perfbench_out holds one traced-off queries record
-    per seed; runs maps each seed to its (wall_s, ops_per_s, LAYER)."""
+    per seed; runs maps each seed to its (wall_s, ops_per_s, LAYER), and
+    tails some seeds to their (env.rounds, notes.tail_percentile)."""
     out = root / ".perfbench_out"
     out.mkdir(parents=True)
     for seed, (wall, ops, calls) in runs.items():
@@ -27,6 +28,9 @@ def _checkout(root: Path, runs: dict) -> Path:
                         LAYER: {"value": calls, "unit": "count"}},
             "notes": {"spans": [["lr.lr_expand", 0.25]], "ops_unit": "calls"},
         }
+        if tails and seed in tails:
+            record["env"]["rounds"], record["notes"]["tail_percentile"] = \
+                tails[seed]
         (out / f"queries-{seed}.json").write_text(json.dumps(record))
     return root
 
@@ -35,9 +39,12 @@ def test_record_summarizes_both_sides(tmp_path):
     # the change is faster on both seeds but does fewer operations per
     # second on both: lower wins for wall_s, higher for ops_per_s
     parent = _checkout(tmp_path / "parent", {1: (2.0, 100.0, 10),
-                                             2: (4.0, 200.0, 30)})
+                                             2: (4.0, 200.0, 30)},
+                       {1: (46, "p99"), 2: (50, "p99")})
+    # the change's seed 2 record lacks both rounds and tail percentile
     change = _checkout(tmp_path / "change", {1: (1.0, 50.0, 12),
-                                             2: (3.0, 150.0, 12)})
+                                             2: (3.0, 150.0, 12)},
+                       {1: (55, "p99.9")})
     out = tmp_path / "BENCH.json"
     assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
     record = json.loads(out.read_text())
@@ -56,10 +63,16 @@ def test_record_summarizes_both_sides(tmp_path):
     assert summary["wall_s"]["pairs"] == summary["ops_per_s"]["pairs"] == 2
     # only the metrics that BENCHMARK.json gates are compared pair by pair
     assert "change_better_pairs" not in summary[LAYER]
+    assert summary["rounds"] == {
+        "parent": {"median": 48, "q1": 47, "q3": 49, "n": 2},
+        "change": {"median": 55, "q1": 55, "q3": 55, "n": 1}}
+    assert summary["tail_percentile"] == {"parent": ["p99", "p99"],
+                                          "change": ["p99.9"]}
 
     for side in ("parent", "change"):
         assert [r["env"]["seed"] for r in record[side]] == [1, 2]
-        assert all(r["notes"] == {"ops_unit": "calls"} for r in record[side])
+        assert all("spans" not in r["notes"] for r in record[side])
+    assert record["change"][1]["notes"] == {"ops_unit": "calls"}
 
 
 def test_record_without_runs_is_an_error(tmp_path):

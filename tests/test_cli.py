@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -411,8 +410,8 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys, fmt, argv,
 
 def test_verify_details_follow_the_report(capsys, monkeypatch):
     report = CLAIMS["regressions"]()
-    failed = dataclasses.replace(report, verdict="fail",
-                                 details=("first failure", "second failure"))
+    failed = report._replace(verdict="fail",
+                             details=("first failure", "second failure"))
     monkeypatch.setitem(cli.CLAIMS, "regressions", lambda bound: failed)
     assert run(["verify", "regressions"]) == 1
     captured = capsys.readouterr()

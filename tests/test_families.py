@@ -17,6 +17,7 @@ from abext.families import (A1, A1xA3P, A2, A2xA2, A3P, B1xB3P, B3P, PA4P,
                             fixed, get_family, instantiate_pattern, matches,
                             render_pattern, row_mask)
 from abext.groups import TRIVIAL, parse_group
+from abext.verify import CLAIMS
 
 from oracles import (all_abelian_groups_upto, naive_matches, naive_member,
                      partitions_upto)
@@ -36,6 +37,48 @@ def test_slot_validation():
             fixed(modulus)
     with pytest.raises(ValueError, match="must be ints"):
         Slot("free", 0.0)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("odd",), "unknown slot kind 'odd'"),
+    (("fixed", 2.0), "slot moduli must be ints, got 2.0"),
+    (("fixed", 1), "fixed slots need a modulus >= 2"),
+    (("free", 3), "only fixed slots carry a modulus"),
+])
+def test_slot_errors_keep_their_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        Slot(*args)
+    assert str(info.value) == message
+
+
+def test_slot_replace_validates_like_the_constructor():
+    assert FREE._replace(kind="even") == EVEN
+    with pytest.raises(ValueError, match="only fixed slots carry a modulus"):
+        FREE._replace(modulus=3)
+
+
+def test_value_types_keep_their_contract():
+    assert repr(FREE) == "Slot(kind='free', modulus=0)"
+    assert repr(fixed(4)) == "Slot(kind='fixed', modulus=4)"
+    assert repr(A1.patterns[1]) == (
+        "FamilyPattern(slots=(Slot(kind='fixed', modulus=2), "
+        "Slot(kind='fixed', modulus=2)))")
+    assert repr(A1) == (
+        "Family(name='A1', patterns=(FamilyPattern(slots=(Slot(kind='free', "
+        "modulus=0),)), FamilyPattern(slots=(Slot(kind='fixed', modulus=2), "
+        "Slot(kind='fixed', modulus=2)))), exceptional=GroupSet({}))")
+    # the memos key on these hashes
+    assert hash(FREE) == hash(("free", 0))
+    for family in BUILTIN_FAMILIES.values():
+        for pattern in family.rows:
+            assert hash(pattern) == hash((pattern.slots,))
+    pattern = A1.patterns[1]
+    for value, attr in ((FREE, "kind"), (pattern, "slots"),
+                        (pattern, "params"), (A1, "name")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, getattr(value, attr))
+    for value in (fixed(4), pattern, CLAIMS["thm-main"](32)):
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_matches_examples():
@@ -93,7 +136,7 @@ def test_family_hash_is_by_value():
     assert family_product(A2, A2) == get_family("A2xA2")
     assert hash(family_product(A2, A2)) == hash(get_family("A2xA2"))
     # each class defines __hash__ in its own __dict__, where the per-layer
-    # tracer wraps it: Family by hand, FamilyPattern by the dataclass
+    # tracer wraps it: Family by name, FamilyPattern as tuple.__hash__
     assert "__hash__" in Family.__dict__
     assert "__hash__" in FamilyPattern.__dict__
 

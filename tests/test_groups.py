@@ -176,11 +176,13 @@ def test_is_prime_rejects_pseudoprimes():
 
 
 def test_import_loads_no_typing():
-    code = "import abext, abext.cli, sys; print('typing' in sys.modules)"
+    # each of these costs every CLI call milliseconds of start-up
+    code = ("import abext, abext.cli, sys; print(sorted({'typing', "
+            "'dataclasses', 'inspect'} & sys.modules.keys()))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 def test_factorize_beyond_trial_division_limit():

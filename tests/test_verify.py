@@ -525,6 +525,13 @@ def test_sweep_refuses_an_unknown_step():
                                "'extension', 'product' or 'closure'")
 
 
+def test_sweep_replace_validates_like_the_constructor():
+    sweep = Sweep("extension", A1, A1, A2)
+    assert sweep._replace(step="closure") == ("closure", A1, A1, A2)
+    with pytest.raises(ValueError, match="unknown step 'extention'"):
+        sweep._replace(step="extention")
+
+
 def test_verify_bound_limit(monkeypatch):
     monkeypatch.setattr(verify, "MAX_VERIFY_BOUND", 16)
     assert CLAIMS["prop-ext-low"](16).verdict == "pass"

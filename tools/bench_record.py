@@ -8,7 +8,10 @@ into the output, without the traced runs' span lists, under "parent" and
 "change".  A "summary" gives, per workload, trace mode and metric, the
 median and quartiles of each side, and for the metrics that BENCHMARK.json
 gates, on how many seeds run on both sides the change was the better one.
-Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+It also gives each side's spread of rounds run (env.rounds) and its list of
+tail percentiles (notes.tail_percentile), in seed order: a run of more
+rounds can read its tail at a higher percentile.  Quartiles are
+statistics.quantiles(..., n=4, method="inclusive").
 """
 
 from __future__ import annotations
@@ -46,18 +49,22 @@ def spread(values: list) -> dict:
 
 
 def summarize(parent: list, change: list, better: dict) -> dict:
-    """Per workload and trace mode: each metric's spread on both sides."""
+    """Per workload and trace mode: each metric's spread on both sides, and
+    each side's rounds and tail percentiles, from the records that have
+    them."""
     def by_key(records):
         groups = {}
         for r in records:
             key = f"{r['env']['workload']}/trace{r['env']['trace']}"
-            groups.setdefault(key, {})[r["env"]["seed"]] = r["metrics"]
+            groups.setdefault(key, {})[r["env"]["seed"]] = r
         return groups
 
     before, after = by_key(parent), by_key(change)
     summary = {}
     for key in sorted(before.keys() | after.keys()):
-        runs = {"parent": before.get(key, {}), "change": after.get(key, {})}
+        records = {"parent": before.get(key, {}), "change": after.get(key, {})}
+        runs = {side: {seed: r["metrics"] for seed, r in seeds.items()}
+                for side, seeds in records.items()}
         names = sorted({name for side in runs.values() for metrics in side.values()
                         for name in metrics})
         shared = sorted(runs["parent"].keys() & runs["change"].keys())
@@ -74,6 +81,14 @@ def summarize(parent: list, change: list, better: dict) -> dict:
                     for s in shared)
                 row["pairs"] = len(shared)
             entry[name] = row
+        rounds = {side: [r["env"]["rounds"] for r in seeds.values()
+                         if "rounds" in r["env"]]
+                  for side, seeds in records.items()}
+        tails = {side: [r["notes"]["tail_percentile"] for r in seeds.values()
+                        if "tail_percentile" in r.get("notes", {})]
+                 for side, seeds in records.items()}
+        entry["rounds"] = {side: spread(v) for side, v in rounds.items() if v}
+        entry["tail_percentile"] = {side: v for side, v in tails.items() if v}
         summary[key] = entry
     return summary
 
