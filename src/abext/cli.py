@@ -205,6 +205,14 @@ _COMMANDS = {
 }
 
 
+def _write_file(path: str, output: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(output)
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from None
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, run the command, write its output; return the exit code."""
     parser = build_parser()
@@ -219,21 +227,14 @@ def run(argv: list[str] | None = None) -> int:
         if args.out is None:
             sys.stdout.write(output)
         else:
-            try:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(output)
-            except OSError as err:
-                raise ValueError(f"cannot write {args.out}: "
-                                 f"{err.strerror}") from None
-    except (ValueError, KeyError) as err:
+            _write_file(args.out, output)
+    except ValueError as err:
         message = err.args[0] if err.args else err
         print(f"abext: error: {message}", file=sys.stderr)
         return 64
-    except ResourceLimitError as err:
-        print(f"abext: resource limit: {err}", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print("abext: resource limit: out of memory", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as err:
+        reason = "out of memory" if isinstance(err, MemoryError) else err
+        print(f"abext: resource limit: {reason}", file=sys.stderr)
         return 3
     except Exception as err:
         # exit 1 means "claim failed", so a crash needs a code of its own

@@ -370,9 +370,13 @@ TABLES = (
 )
 
 
+class UnknownFamilyError(KeyError, ValueError):
+    """A failed family lookup, which the CLI reports as a usage error."""
+
+
 def get_family(name: str) -> Family:
-    try:
-        return BUILTIN_FAMILIES[name]
-    except KeyError:
+    if name not in BUILTIN_FAMILIES:
         known = ", ".join(sorted(BUILTIN_FAMILIES))
-        raise KeyError(f"unknown family {name!r}; known families: {known}") from None
+        raise UnknownFamilyError(
+            f"unknown family {name!r}; known families: {known}")
+    return BUILTIN_FAMILIES[name]

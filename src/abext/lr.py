@@ -88,8 +88,8 @@ def _lr_support(lam: Partition, nu: Partition) -> tuple[Partition, ...]:
     checked as given, then walked on the operand with fewer rows (of the
     transposes when taller than wide).  All shapes have |lam| + |nu|
     boxes, so none is a prefix of another: descending is sort_key order."""
-    _check_rows(len(lam) + len(nu))
-    _check_cells(size(nu))
+    _check_depth(len(lam) + len(nu), "shapes", "rows")
+    _check_depth(size(nu), "fillings", "cells")
     if len(lam) + len(nu) > (lam[0] if lam else 0) + (nu[0] if nu else 0):
         # taller than wide: walk the transposes, as c^mu'_{lam' nu'} =
         # c^mu_{lam nu}, so that the walk has few rows
@@ -154,16 +154,10 @@ def _check_partitions(*shapes):
             raise ValueError(f"{shape!r} is not a partition tuple")
 
 
-def _check_rows(n):
+def _check_depth(n, things, units):
     if n > MAX_DEPTH:
-        raise ResourceLimitError(
-            f"shapes of {n} rows exceed the LR depth limit {MAX_DEPTH}")
-
-
-def _check_cells(n):
-    if n > MAX_DEPTH:
-        raise ResourceLimitError(
-            f"fillings of {n} cells exceed the LR depth limit {MAX_DEPTH}")
+        raise ResourceLimitError(f"{things} of {n} {units} exceed the LR "
+                                 f"depth limit {MAX_DEPTH}")
 
 
 def _count_fillings(lam, nu, mu, first_only):
@@ -174,7 +168,7 @@ def _count_fillings(lam, nu, mu, first_only):
     if len(mu) > len(lam) + len(nu):
         return 0
     # a filling has one cell per box of nu: check before anything is built
-    _check_cells(size(nu))
+    _check_depth(size(nu), "fillings", "cells")
     if not nu:
         return 1
 

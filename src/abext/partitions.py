@@ -28,12 +28,12 @@ def make_partition(raw: Iterable[int]) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n: int, top: int | None = None) -> list[Partition]:
+def partitions_of(n: int, top: int | None = None) -> tuple[Partition, ...]:
     """Partitions of n with parts at most top, largest part first."""
     if n == 0:
-        return [()]
-    return [(first, *rest) for first in range(min(n, top or n), 0, -1)
-            for rest in partitions_of(n - first, first)]
+        return ((),)
+    return tuple((first, *rest) for first in range(min(n, top or n), 0, -1)
+                 for rest in partitions_of(n - first, first))
 
 
 def parse_partition(text: str) -> Partition:

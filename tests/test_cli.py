@@ -161,19 +161,22 @@ def test_usage_error_exit_code(capsys):
     assert run(["ext", "Z/2", "Z/2", "--seed", "1"]) == 64
 
 
-@pytest.mark.parametrize("argv", [
-    ["ext", "Z/2", "Z/2"],
-    ["lr-coeff", "[1]", "[1]", "[2]"],
-])
-def test_internal_error_exit_code(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, error", [
+    (["ext", "Z/2", "Z/2"],
+     RecursionError("maximum recursion depth exceeded")),
+    (["lr-coeff", "[1]", "[1]", "[2]"],
+     RecursionError("maximum recursion depth exceeded")),
+    # a KeyError from a bug is a crash, not a mistyped family name
+    (["member", "Z/2", "--family", "A1"], KeyError("no-such-key")),
+], ids=["argv0", "argv1", "argv2"])
+def test_internal_error_exit_code(capsys, monkeypatch, argv, error):
     def crash(args):
-        raise RecursionError("maximum recursion depth exceeded")
+        raise error
 
     monkeypatch.setitem(cli._COMMANDS, argv[0], crash)
     assert run(argv) == 70
-    err = capsys.readouterr().err
-    assert err.startswith("abext: internal error: RecursionError: ")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (
+        f"abext: internal error: {type(error).__name__}: {error}\n")
 
 
 def test_out_of_memory_exit_code(capsys, monkeypatch):

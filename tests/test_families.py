@@ -117,8 +117,10 @@ def test_get_family():
     assert get_family("B2xB2") is get_family("A2xA2")
     assert set(BUILTIN_FAMILIES) == {"A1", "A2", "A3p", "B3p", "PA4p", "PB4p",
                                      "A2xA2", "A1xA3p", "B2xB2", "B1xB3p"}
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as info:
         get_family("A9")
+    # also a ValueError, which the CLI reports as a usage error
+    assert isinstance(info.value, ValueError)
 
 
 def test_family_hash_is_by_value():

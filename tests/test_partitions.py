@@ -4,7 +4,10 @@ from hypothesis import strategies as st
 
 from abext.partitions import (componentwise_sum, conjugate, contains,
                               format_partition, make_partition,
-                              parse_partition, size, sort_key, union_merge)
+                              parse_partition, partitions_of, size, sort_key,
+                              union_merge)
+
+from oracles import partitions_of as naive_partitions_of
 
 partitions = st.lists(st.integers(min_value=0, max_value=6), max_size=5).map(
     make_partition)
@@ -46,6 +49,15 @@ def test_make_partition_rejects_bools():
 def test_make_partition_rejects_floats():
     for raw in ([1.5], (2.0, 1), (1.0,)):
         _assert_rejected(raw)
+
+
+def test_partitions_of_is_an_immutable_tuple_in_oracle_order():
+    # the memo hands every caller the same object, so it must not be a list
+    for n in range(10):
+        for top in (None, *range(1, n + 2)):
+            got = partitions_of(n, top)
+            assert type(got) is tuple
+            assert got == tuple(naive_partitions_of(n, top))
 
 
 def test_size():

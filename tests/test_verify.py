@@ -12,6 +12,7 @@ from operator import and_
 import pytest
 
 from abext import groups, verify
+from abext.cli import run
 from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set, subgroup_quotient_types)
@@ -613,6 +614,28 @@ def test_regressions_pass():
     assert not report.details
     # nine concrete vectors plus every parameterized instantiation
     assert report.checked_pairs == 75
+
+
+def test_regressions_fail_on_a_wrong_reference(capsys, monkeypatch):
+    # [1] * [1] = [2] + [1,1], and the exact reference misses [1,1];
+    # [a] * [1] = [a+1] + [a,1], and the one template, a row of at least a
+    # above a tail of [1], misses [a+1]
+    monkeypatch.setattr(verify, "_EXACT_CASES", (
+        ("[1]*[1]", lambda: ((1,), (1,), [(2,)])),))
+    monkeypatch.setattr(verify, "_SHAPE_CASES", (
+        ("[a]*[1]", lambda a: ((a,), (1,), [((a,), (1,))])),))
+    details = ("[1]*[1]: support mismatch",
+               "[a]*[1] at {'a': 1}: (2,) outside the stated shapes",
+               "[a]*[1] at {'a': 2}: (3,) outside the stated shapes",
+               "[a]*[1] at {'a': 3}: (4,) outside the stated shapes")
+    report = regression_expansions()
+    assert report.verdict == "fail" and not report.vacuous
+    assert report.details == details
+    assert report.checked_pairs == 4
+    assert run(["verify", "regressions"]) == 1
+    captured = capsys.readouterr()
+    assert "verdict: fail" in captured.out.splitlines()
+    assert captured.err == "".join(line + "\n" for line in details)
 
 
 def test_regression_case_count():
