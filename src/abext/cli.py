@@ -10,7 +10,7 @@ Exit codes:
   1   the claim failed
   2   the claim passed vacuously (window too small for its witnesses)
   3   resource limit exceeded, or out of memory
-  64  usage, parse, lookup or --out write error
+  64  usage, parse, lookup or output write error
   70  internal error (an exception nothing else handles)
 """
 
@@ -20,13 +20,14 @@ import argparse
 import json
 import sys
 from collections import namedtuple
+from math import prod
 
 from . import __version__
 from .extensions import (ResourceLimitError, brute_force_is_extension,
-                         extension_set, is_extension)
-from .families import (TABLES, enumerate_family, family_contains, get_family,
+                         extension_types, is_extension)
+from .families import (TABLES, _member_types, family_contains, get_family,
                        render_pattern)
-from .groups import AbelianGroup
+from .groups import AbelianGroup, format_types
 from .lr import lr_coefficient, lr_expand
 from .partitions import format_partition, parse_partition
 from .verify import CLAIMS, DEFAULT_BOUND
@@ -153,8 +154,7 @@ def _cmd_ext(args) -> _Output:
                        f"oracle: {oracle_text}")
     if len(groups) != 2:
         raise ValueError("ext expects two groups: H K")
-    names = [str(g) for g in extension_set(*groups)]
-    return _Output(names, "\n".join(names) or "(empty)")
+    return _names(extension_types(*groups))
 
 
 def _cmd_member(args) -> _Output:
@@ -164,8 +164,15 @@ def _cmd_member(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    names = [str(g) for g in
-             enumerate_family(get_family(args.family), args.bound)]
+    return _names(_member_types(get_family(args.family), args.bound))
+
+
+def _names(types) -> _Output:
+    # the names of the groups of these {prime: partition} types, in the
+    # order GroupSet iterates them, by order then name, without the groups
+    keys = sorted((prod(p ** sum(parts) for p, parts in t.items()),
+                   format_types(t.items())) for t in types)
+    names = [name for _, name in keys]
     return _Output(names, "\n".join(names) or "(empty)")
 
 
@@ -205,12 +212,18 @@ _COMMANDS = {
 }
 
 
-def _write_file(path: str, output: str) -> None:
+def _write(path: str | None, output: str) -> None:
+    # stdout when path is None; flushed here, so that a full disk is a
+    # write error like an unwritable --out file
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        if path is None:
+            print(output, end="", flush=True)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(output)
     except OSError as err:
-        raise ValueError(f"cannot write {path}: {err.strerror}") from None
+        target = "stdout" if path is None else path
+        raise ValueError(f"cannot write {target}: {err.strerror}") from None
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -224,10 +237,7 @@ def run(argv: list[str] | None = None) -> int:
             output = json.dumps(result.payload, indent=indent) + "\n"
         else:
             output = result.text + "\n"
-        if args.out is None:
-            sys.stdout.write(output)
-        else:
-            _write_file(args.out, output)
+        _write(args.out, output)
     except ValueError as err:
         message = err.args[0] if err.args else err
         print(f"abext: error: {message}", file=sys.stderr)

@@ -3,8 +3,9 @@
 G is an extension of K by H when 0 -> H -> G -> K -> 0 is exact.  For
 finite abelian groups the condition splits over primes: it holds exactly
 when every p-part of G carries a positive Littlewood-Richardson
-coefficient for the p-types of H and K.  extension_set enumerates all
-extensions by combining the per-prime supports (lr_support).
+coefficient for the p-types of H and K.  extension_types enumerates the
+types of all extensions by combining the per-prime supports (lr_support),
+and extension_set builds a group from each.
 
 brute_force_is_extension answers the same question at the element level,
 with no tableau combinatorics: it enumerates every subgroup S of order at
@@ -71,9 +72,17 @@ def is_extension(g: AbelianGroup, h: AbelianGroup, k: AbelianGroup) -> bool:
 # No memo: a pair recurs in at most about a third of calls, each call is cheap
 # next to the memoized supports, and a pair memo kept a set alive per pair.
 def extension_set(h: AbelianGroup, k: AbelianGroup) -> GroupSet:
-    """All extensions of k by h, combining primes independently.  Raises
-    ResourceLimitError, before building any, when there are more than
-    MAX_EXTENSIONS."""
+    """All extensions of k by h: a group for each type that extension_types
+    yields.  Raises ResourceLimitError, before building any, when there are
+    more than MAX_EXTENSIONS."""
+    return GroupSet(map(AbelianGroup, extension_types(h, k)))
+
+
+def extension_types(h: AbelianGroup, k: AbelianGroup) -> Iterator[dict]:
+    """The types of the extensions of k by h, as {prime: partition},
+    combining primes independently and walked lazily.  Raises
+    ResourceLimitError at the call, before any type, when there are more
+    than MAX_EXTENSIONS."""
     ht, kt = h.prime_types(), k.prime_types()
     primes = sorted(ht.keys() | kt.keys())
     per_prime = [lr_support(ht.get(p, ()), kt.get(p, ())) for p in primes]
@@ -81,8 +90,7 @@ def extension_set(h: AbelianGroup, k: AbelianGroup) -> GroupSet:
     if count > MAX_EXTENSIONS:
         raise ResourceLimitError(f"{count} extensions exceed the limit of "
                                  f"{MAX_EXTENSIONS}")
-    return GroupSet(AbelianGroup(dict(zip(primes, combo)))
-                    for combo in itertools.product(*per_prime))
+    return (dict(zip(primes, c)) for c in itertools.product(*per_prime))
 
 
 def set_product(a: GroupSet, b: GroupSet) -> GroupSet:

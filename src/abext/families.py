@@ -22,7 +22,7 @@ rows' primes, which it memoizes as one class, 0.  A group is a member
 exactly when the AND of its masks over its primes and the rows' primes is
 nonzero.  _member_types walks the group types of the window that pass
 this test; enumerate_family builds a group from each, while the sweep
-reads the types themselves.
+and the enumerate command read the types themselves.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one

@@ -25,7 +25,7 @@ into more than MAX_FACTORS cyclic factors of prime-power order.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from itertools import groupby, zip_longest
 from math import prod
 
@@ -110,6 +110,22 @@ def factorize(n: int) -> dict[int, int]:
                 f"up to {TRIAL_DIVISION_LIMIT}")
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def format_types(types: Collection[tuple[int, Partition]]) -> str:
+    """Name of the group with these (prime, partition) pairs, one pair per
+    prime and no partition empty (see the module docstring)."""
+    if not types:
+        return "1"
+    primes, columns = zip(*types)
+    pieces = []
+    # a factor determines its exponents, so equal factors are equal
+    # columns, and each run of them takes one product
+    for column, run in groupby(zip_longest(*columns, fillvalue=0)):
+        f = prod(p ** e for p, e in zip(primes, column))
+        rep = len(list(run))
+        pieces.append(f"Z/{f}" + (f"^{rep}" if rep > 1 else ""))
+    return " x ".join(pieces)
 
 
 class AbelianGroup:
@@ -221,21 +237,8 @@ class AbelianGroup:
 
     def __str__(self) -> str:
         if self._str is None:
-            self._str = self._format()
+            self._str = format_types(self._types)
         return self._str
-
-    def _format(self) -> str:
-        if not self._types:
-            return "1"
-        primes, columns = zip(*self._types)
-        pieces = []
-        # a factor determines its exponents, so equal factors are equal
-        # columns, and each run of them takes one product
-        for column, run in groupby(zip_longest(*columns, fillvalue=0)):
-            f = prod(p ** e for p, e in zip(primes, column))
-            rep = len(list(run))
-            pieces.append(f"Z/{f}" + (f"^{rep}" if rep > 1 else ""))
-        return " x ".join(pieces)
 
     def __repr__(self) -> str:
         return f"AbelianGroup({dict(self._types)!r})"

@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +11,9 @@ import pytest
 
 from abext import cli, extensions
 from abext.cli import run
-from abext.groups import parse_group
+from abext.extensions import extension_set
+from abext.families import BUILTIN_FAMILIES, enumerate_family, get_family
+from abext.groups import AbelianGroup, parse_group
 from abext.verify import CLAIMS
 
 
@@ -204,8 +209,9 @@ def test_ext_result_budget_exit_code(capsys):
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="reads the peak RSS from /proc/self/status")
 def test_ext_many_results_memory_ceiling():
-    # 10,201 groups that share the memoized support tuples peak at about
-    # 26 MB; a copy of each partition per group took 52 MB.  A fresh
+    # 10,201 names read from the memoized support tuples, with no group
+    # built per result, peak at about 20 MB; a group per result took about
+    # 22-26 MB, and a copy of each partition per group 52 MB.  A fresh
     # process, read through VmHWM as in test_verify's claim ceilings.
     code = ("import sys; from abext.cli import run; "
             "code = run(['ext', 'Z/6^100', 'Z/6^100']); "
@@ -283,6 +289,60 @@ def test_enumerate(capsys):
     assert run(["enumerate", "--family", "A1", "--bound", "8"]) == 0
     assert get_output(capsys).splitlines() == [
         "1", "Z/2", "Z/3", "Z/2^2", "Z/4", "Z/5", "Z/6", "Z/7", "Z/8"]
+
+
+def _text_and_json(capsys, argv):
+    assert run(argv) == 0
+    text = get_output(capsys)
+    assert run(argv + ["--format", "json"]) == 0
+    return text, json.loads(get_output(capsys))
+
+
+# ext and enumerate print from prime types; the library builds the groups
+_FACTORS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 30, 36, 49, 60, 72,
+            210)
+
+
+def _drawn_group(rng):
+    factors = rng.choices(_FACTORS, k=rng.randint(1, 5))
+    return " x ".join(f"Z/{n}" for n in factors)
+
+
+_rng = random.Random(2025)
+_EXT_PAIRS = [(_drawn_group(_rng), _drawn_group(_rng)) for _ in range(200)]
+_EXT_PAIRS += [(f"Z/6^{n}", f"Z/6^{n}") for n in (1, 5, 20, 100)]
+
+
+@pytest.mark.parametrize("h, k", _EXT_PAIRS)
+def test_ext_prints_the_library_extension_set(capsys, h, k):
+    names = [str(g) for g in extension_set(parse_group(h), parse_group(k))]
+    assert _text_and_json(capsys, ["ext", h, k]) == ("\n".join(names),
+                                                     names)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 64, 1024])
+@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+def test_enumerate_prints_the_library_members(capsys, name, bound):
+    names = [str(g) for g in enumerate_family(get_family(name), bound)]
+    assert _text_and_json(capsys, ["enumerate", "--family", name,
+                                   "--bound", str(bound)]) == (
+        "\n".join(names), names)
+
+
+def test_ext_and_enumerate_build_no_groups(capsys, monkeypatch):
+    built = []
+    init = AbelianGroup.__init__
+
+    def counted(self, types):
+        init(self, types)
+        built.append(self)
+
+    monkeypatch.setattr(AbelianGroup, "__init__", counted)
+    assert run(["ext", "Z/4 x Z/2", "Z/2^2"]) == 0
+    assert [str(g) for g in built] == ["Z/4 x Z/2", "Z/2^2"]
+    built.clear()
+    assert run(["enumerate", "--family", "PB4p", "--bound", "256"]) == 0
+    assert built == []
 
 
 _ENUMERATION_LIMIT = ("family enumeration exceeded the limit of 1000000 "
@@ -409,6 +469,19 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys, fmt, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"abext: error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_stdout_write_error_is_a_usage_error(capsys, monkeypatch, method):
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    stdout = io.StringIO()
+    setattr(stdout, method, full)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["ext", "Z/4", "Z/2"]) == 64
+    assert capsys.readouterr().err == (
+        f"abext: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_verify_details_follow_the_report(capsys, monkeypatch):
