@@ -20,14 +20,14 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from math import prod
+from contextlib import nullcontext, suppress
 
 from . import __version__
 from .extensions import (ResourceLimitError, brute_force_is_extension,
                          extension_types, is_extension)
-from .families import (TABLES, _member_types, family_contains, get_family,
+from .families import (TABLES, family_contains, get_family, member_types,
                        render_pattern)
-from .groups import AbelianGroup, format_types
+from .groups import AbelianGroup, format_types, types_key
 from .lr import lr_coefficient, lr_expand
 from .partitions import format_partition, parse_partition
 from .verify import CLAIMS, DEFAULT_BOUND
@@ -154,7 +154,9 @@ def _cmd_ext(args) -> _Output:
                        f"oracle: {oracle_text}")
     if len(groups) != 2:
         raise ValueError("ext expects two groups: H K")
-    return _names(extension_types(*groups))
+    # every extension has order |H| |K|, so GroupSet's order is by name
+    return _names(sorted(format_types(t.items())
+                         for t in extension_types(*groups)))
 
 
 def _cmd_member(args) -> _Output:
@@ -164,15 +166,14 @@ def _cmd_member(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    return _names(_member_types(get_family(args.family), args.bound))
+    keys = sorted(types_key(t.items()) for t in
+                  member_types(get_family(args.family), args.bound))
+    return _names([name for _, name in keys])
 
 
-def _names(types) -> _Output:
-    # the names of the groups of these {prime: partition} types, in the
-    # order GroupSet iterates them, by order then name, without the groups
-    keys = sorted((prod(p ** sum(parts) for p, parts in t.items()),
-                   format_types(t.items())) for t in types)
-    names = [name for _, name in keys]
+def _names(names: list[str]) -> _Output:
+    # ext and enumerate name prime types in GroupSet's order, without
+    # building the groups
     return _Output(names, "\n".join(names) or "(empty)")
 
 
@@ -213,14 +214,12 @@ _COMMANDS = {
 
 
 def _write(path: str | None, output: str) -> None:
-    # stdout when path is None; flushed here, so that a full disk is a
-    # write error like an unwritable --out file
+    # one path for stdout (path None) and --out, flushed inside the try, so
+    # that a full disk is a write error wherever the output goes
     try:
-        if path is None:
-            print(output, end="", flush=True)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(output)
+        with (nullcontext(sys.stdout) if path is None
+              else open(path, "w", encoding="utf-8")) as handle:
+            print(output, file=handle, flush=True)
     except OSError as err:
         target = "stdout" if path is None else path
         raise ValueError(f"cannot write {target}: {err.strerror}") from None
@@ -232,12 +231,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         result = _COMMANDS[args.command](args)
-        if args.format == "json":
-            indent = 2 if args.command == "tables" else None
-            output = json.dumps(result.payload, indent=indent) + "\n"
-        else:
-            output = result.text + "\n"
-        _write(args.out, output)
+        indent = 2 if args.command == "tables" else None
+        _write(args.out, json.dumps(result.payload, indent=indent)
+               if args.format == "json" else result.text)
     except ValueError as err:
         message = err.args[0] if err.args else err
         print(f"abext: error: {message}", file=sys.stderr)
@@ -257,5 +253,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(run())
+    code = run()
+    # a failed write leaves its bytes in stdout's buffer, and the exit
+    # flush would retry them and exit 120; closing stdout drops them
+    with suppress(OSError):
+        sys.stdout.close()
+    sys.exit(code)
 

@@ -20,7 +20,7 @@ fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
 that admit the p-type parts; it is the same at every prime outside the
 rows' primes, which it memoizes as one class, 0.  A group is a member
 exactly when the AND of its masks over its primes and the rows' primes is
-nonzero.  _member_types walks the group types of the window that pass
+nonzero.  member_types walks the group types of the window that pass
 this test; enumerate_family builds a group from each, while the sweep
 and the enumerate command read the types themselves.
 
@@ -219,14 +219,14 @@ def _slot_key(slot: Slot):
 
 def enumerate_family(family: Family, order_bound: int) -> GroupSet:
     """Every member with order at most order_bound: a group for each type
-    that _member_types yields.  Raises ResourceLimitError before the walk
+    that member_types yields.  Raises ResourceLimitError before the walk
     when order_bound passes MAX_ENUMERATION_BOUND, that is, when the window
     holds more than MAX_ENUMERATION group types.
     """
-    return GroupSet(map(AbelianGroup, _member_types(family, order_bound)))
+    return GroupSet(map(AbelianGroup, member_types(family, order_bound)))
 
 
-def _member_types(family: Family, bound: int) -> Iterator[dict]:
+def member_types(family: Family, bound: int) -> Iterator[dict]:
     """The group types of order 1 .. bound that family admits, as {prime:
     partition}, walked lazily; the bound is checked at the call."""
     if bound < 1:

@@ -128,6 +128,13 @@ def format_types(types: Collection[tuple[int, Partition]]) -> str:
     return " x ".join(pieces)
 
 
+def types_key(types: Collection[tuple[int, Partition]]) -> tuple[int, str]:
+    """Sort key of the group with these (prime, partition) pairs: its order,
+    then its name.  AbelianGroup.sort_key is this key, so GroupSet iterates
+    in its order."""
+    return prod(p ** sum(parts) for p, parts in types), format_types(types)
+
+
 class AbelianGroup:
     """Isomorphism class of a finite abelian group."""
 
@@ -233,7 +240,7 @@ class AbelianGroup:
     __mul__ = direct_product
 
     def sort_key(self):
-        return (self._order, str(self))
+        return types_key(self._types)
 
     def __str__(self) -> str:
         if self._str is None:

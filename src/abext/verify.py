@@ -24,7 +24,7 @@ largest exponent they fix at p), and max(2E + 1, 2) for closure (Z/p^2
 extends Z/p by Z/p; Z/p does not), and keys every other prime as class 0.
 The capping lemma below proves E + 1 exact; the closure cap is tested,
 not proved.
-run_claim reads members as prime types from families._member_types and
+run_claim reads members as prime types from families.member_types and
 does not loop over pairs: _zero_pairs joins each left member with all
 right members at once and yields exactly the pairs where one mask per
 prime can AND to 0; only those become groups, and _outside builds their
@@ -88,7 +88,7 @@ from operator import and_, ge
 from .errors import ResourceLimitError
 from .extensions import GroupSet, extension_set
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
-                       _admits, _member_types, family_product, row_mask)
+                       _admits, family_product, member_types, row_mask)
 from .groups import AbelianGroup
 from .lr import _lr_support, lr_support
 from .partitions import (Partition, make_partition, partitions_of, size,
@@ -201,7 +201,7 @@ def run_claim(claim: Claim, bound: int = DEFAULT_BOUND) -> VerificationReport:
     for sweep in claim.sweeps:
         for family in (sweep.left, sweep.right):
             if family not in members:
-                members[family] = list(_member_types(family, bound))
+                members[family] = list(member_types(family, bound))
         step, target = sweep.step, sweep.target
         if (step, target) not in tables:
             tables[step, target] = _Options(step, target)

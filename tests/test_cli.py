@@ -484,6 +484,26 @@ def test_stdout_write_error_is_a_usage_error(capsys, monkeypatch, method):
         f"abext: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_full_stdout_exits_64_in_a_process(buffered):
+    # buffered stdout keeps the bytes of a failed write; unless entrypoint
+    # drops them, the interpreter's exit flush retries them and turns exit
+    # 64 into 120, which PYTHONUNBUFFERED hides
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "abext", "ext", "Z/4",
+                               "Z/2"], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 64
+    assert proc.stderr == (
+        f"abext: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
 def test_verify_details_follow_the_report(capsys, monkeypatch):
     report = CLAIMS["regressions"]()
     failed = report._replace(verdict="fail",

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from abext.extensions import GroupSet
 from abext.families import (A2, A3P, EVEN, FREE, PA4P, PB4P, TRIPLE,
                             A1xA3P, A2xA2, Family, FamilyPattern,
-                            _member_types, fixed, row_mask)
+                            fixed, member_types, row_mask)
 from abext.groups import AbelianGroup, parse_group
 from abext.lr import _lr_support
 from abext.partitions import partitions_of, union_merge
@@ -108,7 +108,7 @@ def _key(types):
 
 
 def test_outside_matches_the_choices_on_every_pair():
-    left, right = (list(_member_types(f, 60)) for f in (_LEFT, _RIGHT))
+    left, right = (list(member_types(f, 60)) for f in (_LEFT, _RIGHT))
     found = 0
     for step in STEPS:
         table = _Options(step, _TARGET)

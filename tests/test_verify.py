@@ -17,9 +17,8 @@ from abext.errors import ResourceLimitError
 from abext.extensions import (GroupSet, brute_force_is_extension,
                               extension_set, subgroup_quotient_types)
 from abext.families import (A1, A2, A3P, EVEN, FREE, PA4P, PB4P, TRIPLE,
-                            Family, FamilyPattern, _member_types,
-                            enumerate_family, family_contains, fixed,
-                            row_mask)
+                            Family, FamilyPattern, enumerate_family,
+                            family_contains, fixed, member_types, row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.lr import _lr_support, lr_positive
 from abext.partitions import contains, partitions_of, size, union_merge
@@ -222,7 +221,7 @@ _JOIN_SWEEPS = [sweep for claim in _CLAIMS_BY_ID.values()
 @pytest.mark.parametrize("sweep", _JOIN_SWEEPS, ids=lambda s: "-".join(
     (s.step, s.left.name, s.right.name, s.target.name)))
 def test_join_matches_per_pair_and(sweep):
-    left, right = (list(_member_types(f, 64))
+    left, right = (list(member_types(f, 64))
                    for f in (sweep.left, sweep.right))
     for rhs in ([], right):
         joined = [(_key(ht), _key(kt)) for ht, kt in
@@ -266,7 +265,7 @@ def test_table_entries_are_symmetric():
     for sweep in (s for claim in CLAIM_TABLE for s in claim.sweeps):
         step, target = sweep.step, sweep.target
         table = tables.setdefault((step, target), _Options(step, target))
-        left, right = (list(_member_types(f, 64))
+        left, right = (list(member_types(f, 64))
                        for f in (sweep.left, sweep.right))
         list(_zero_pairs(table, left, right))
     assert len(tables) == 7 and all(tables.values())
