@@ -8,14 +8,15 @@ order.  `ext --check` and the tests cross-check the criterion against an
 independent element-level oracle; the claims' sweeps do not call it.
 """
 
-from .extensions import (DEFAULT_ORACLE_BOUND, GroupSet, ResourceLimitError,
-                         brute_force_is_extension, extension_set,
-                         is_extension, set_extension, set_product)
+from .errors import ResourceLimitError
+from .extensions import (DEFAULT_ORACLE_BOUND, brute_force_is_extension,
+                         extension_set, is_extension, set_extension,
+                         set_product)
 from .families import (BUILTIN_FAMILIES, Family, FamilyPattern, Slot,
                        enumerate_family, family_contains, family_product,
                        get_family, instantiate_pattern, matches)
-from .groups import (AbelianGroup, GroupSyntaxError, TRIVIAL, format_group,
-                     parse_group)
+from .groups import (AbelianGroup, GroupSet, GroupSyntaxError, TRIVIAL,
+                     format_group, parse_group)
 from .lr import lr_coefficient, lr_expand, lr_positive, lr_support
 from .partitions import (Partition, componentwise_sum, conjugate, contains,
                          format_partition, make_partition, parse_partition,

@@ -23,8 +23,8 @@ from collections import namedtuple
 from contextlib import nullcontext, suppress
 
 from . import __version__
-from .extensions import (ResourceLimitError, brute_force_is_extension,
-                         extension_types, is_extension)
+from .errors import ResourceLimitError
+from .extensions import brute_force_is_extension, extension_types, is_extension
 from .families import (TABLES, family_contains, get_family, member_types,
                        render_pattern)
 from .groups import AbelianGroup, format_types, types_key

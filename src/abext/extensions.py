@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import ResourceLimitError
-from .groups import AbelianGroup
+from .groups import AbelianGroup, GroupSet
 from .lr import lr_positive, lr_support
 from .partitions import Partition, conjugate
 
@@ -41,24 +41,6 @@ DEFAULT_ORACLE_BOUND = 1024
 MAX_SUBGROUPS = 10 ** 6
 # most extensions extension_set returns: Z/30030^10 by itself has 11^6
 MAX_EXTENSIONS = 10 ** 6
-
-
-class GroupSet(frozenset):
-    """Immutable set of groups, iterated by ascending order then name.
-
-    A frozenset in all else: its length, membership, equality, hashing and
-    set algebra never call __iter__, so only loops pay for the sort.  Set
-    operators and union() return plain frozensets; wrap what a function
-    returns in GroupSet to keep the order.
-    """
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[AbelianGroup]:
-        return iter(sorted(super().__iter__(), key=AbelianGroup.sort_key))
-
-    def __repr__(self) -> str:
-        return "GroupSet({%s})" % ", ".join(str(g) for g in self)
 
 
 def is_extension(g: AbelianGroup, h: AbelianGroup, k: AbelianGroup) -> bool:

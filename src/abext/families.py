@@ -38,8 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import groupby, product
 
 from .errors import ResourceLimitError
-from .extensions import GroupSet
-from .groups import AbelianGroup, factorize
+from .groups import AbelianGroup, GroupSet, factorize
 from .partitions import Partition, partitions_of
 
 _SCALES = {"free": 1, "even": 2, "triple": 3}

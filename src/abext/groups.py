@@ -20,12 +20,15 @@ Factoring divides by trial up to TRIAL_DIVISION_LIMIT and accepts a
 larger leftover cofactor only when is_prime proves it prime; otherwise it
 raises ResourceLimitError.  So does a group string whose factors split
 into more than MAX_FACTORS cyclic factors of prime-power order.
+
+A group's order, name and sort key (types_key) are functions of its
+prime types, and GroupSet, a frozenset of groups, iterates by that key.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from itertools import groupby, zip_longest
 from math import prod
 
@@ -138,7 +141,7 @@ def types_key(types: Collection[tuple[int, Partition]]) -> tuple[int, str]:
 class AbelianGroup:
     """Isomorphism class of a finite abelian group."""
 
-    __slots__ = ("_types", "_order", "_hash", "_str")
+    __slots__ = ("_types", "_hash")
 
     def __init__(self, types: Mapping[int, Iterable[int]]):
         items = []
@@ -149,9 +152,7 @@ class AbelianGroup:
             if parts:
                 items.append((p, parts))
         self._types = tuple(sorted(items))
-        self._order = prod(p ** sum(parts) for p, parts in items)
         self._hash = hash(self._types)
-        self._str = None
 
     @classmethod
     def from_factors(cls, orders: Iterable[int]) -> "AbelianGroup":
@@ -229,7 +230,7 @@ class AbelianGroup:
         return max((len(parts) for _, parts in self._types), default=0)
 
     def order(self) -> int:
-        return self._order
+        return prod(p ** sum(parts) for p, parts in self._types)
 
     def direct_product(self, other: "AbelianGroup") -> "AbelianGroup":
         types: dict[int, Partition] = dict(self._types)
@@ -243,9 +244,7 @@ class AbelianGroup:
         return types_key(self._types)
 
     def __str__(self) -> str:
-        if self._str is None:
-            self._str = format_types(self._types)
-        return self._str
+        return format_types(self._types)
 
     def __repr__(self) -> str:
         return f"AbelianGroup({dict(self._types)!r})"
@@ -262,6 +261,24 @@ class AbelianGroup:
         if not isinstance(other, AbelianGroup):
             return NotImplemented
         return self.sort_key() < other.sort_key()
+
+
+class GroupSet(frozenset):
+    """Immutable set of groups, iterated by ascending order then name.
+
+    A frozenset in all else: its length, membership, equality, hashing and
+    set algebra never call __iter__, so only loops pay for the sort.  Set
+    operators and union() return plain frozensets; wrap what a function
+    returns in GroupSet to keep the order.
+    """
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[AbelianGroup]:
+        return iter(sorted(super().__iter__(), key=AbelianGroup.sort_key))
+
+    def __repr__(self) -> str:
+        return "GroupSet({%s})" % ", ".join(str(g) for g in self)
 
 
 TRIVIAL = AbelianGroup({})

@@ -33,8 +33,11 @@ the interpreter's stack.  _lr_support also refuses products of more than
 MAX_DEPTH rows or cells: nothing recurses there, but the limits bound how
 many shapes it returns and how large.  Without them lr_support((10**8,),
 (10**8,)) would return 10^8 + 1 shapes, and ext "Z/2^100000" "Z/2^100000"
-would build 100,001 results of up to 200,000 parts.  The CLI documents
-both limits as exit 3.
+would build 100,001 results of up to 200,000 parts.  The filling search
+also takes at most MAX_FILL_STEPS steps per public call, one per cell tried
+or filling completed, shared by all shapes of one lr_expand; past it
+ResourceLimitError.  The CLI documents these limits as exit 3.  The shape
+search has no step budget.
 """
 
 from __future__ import annotations
@@ -50,12 +53,16 @@ from .partitions import (Partition, conjugate, contains, make_partition,
 # of the caller (the CLI, a test runner or a tracer).  lr_support also
 # refuses shapes of more rows, a limit the CLI documents.
 MAX_DEPTH = 900
+# Most steps (cells tried or fillings completed) the filling search may take
+# per public call, all shapes of one lr_expand together: 5,058,346 for
+# [12,9,5] . [12,9,5].
+MAX_FILL_STEPS = 10 ** 7
 
 
 def lr_coefficient(lam: Partition, nu: Partition, mu: Partition) -> int:
     """Multiplicity of mu in lam . nu; 0 when the shapes are incompatible."""
     _check_partitions(lam, nu, mu)
-    return _count_fillings(lam, nu, mu, False)
+    return _count_fillings(lam, nu, mu, False, [MAX_FILL_STEPS])
 
 
 def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
@@ -65,13 +72,14 @@ def lr_positive(lam: Partition, nu: Partition, mu: Partition) -> bool:
     to be an extension of a group of type nu by a group of type lam.
     """
     _check_partitions(lam, nu, mu)
-    return _count_fillings(lam, nu, mu, True) > 0
+    return _count_fillings(lam, nu, mu, True, [MAX_FILL_STEPS]) > 0
 
 
 def lr_expand(lam: Partition, nu: Partition) -> dict[Partition, int]:
     """All mu with positive coefficient in lam . nu, with multiplicities,
     in partitions.sort_key order."""
-    return {mu: _count_fillings(lam, nu, mu, False)
+    budget = [MAX_FILL_STEPS]
+    return {mu: _count_fillings(lam, nu, mu, False, budget)
             for mu in lr_support(lam, nu)}
 
 
@@ -160,7 +168,10 @@ def _check_depth(n, things, units):
                                  f"depth limit {MAX_DEPTH}")
 
 
-def _count_fillings(lam, nu, mu, first_only):
+def _count_fillings(lam, nu, mu, first_only, budget):
+    """Count the fillings (stop at the first when first_only), spending
+    steps from the one-element list budget, which it leaves holding the
+    steps that remain."""
     if size(mu) != size(lam) + size(nu):
         return 0
     if not contains(mu, lam) or not contains(mu, nu):
@@ -183,9 +194,14 @@ def _count_fillings(lam, nu, mu, first_only):
              for j in range(mu[r] - lam_pad[r] - 1, -1, -1)]
     counts = [0] * (k + 1)
     total = 0
+    steps = budget[0]
 
     def fill(i):
-        nonlocal total
+        nonlocal total, steps
+        steps -= 1
+        if steps < 0:
+            raise ResourceLimitError(f"the filling search exceeds the LR "
+                                     f"step limit {MAX_FILL_STEPS}")
         if i == len(cells):
             total += 1
             return first_only
@@ -207,4 +223,5 @@ def _count_fillings(lam, nu, mu, first_only):
         return False
 
     fill(0)
+    budget[0] = steps
     return total

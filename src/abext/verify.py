@@ -86,10 +86,10 @@ from functools import lru_cache, partial, reduce
 from operator import and_, ge
 
 from .errors import ResourceLimitError
-from .extensions import GroupSet, extension_set
+from .extensions import extension_set
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
                        _admits, family_product, member_types, row_mask)
-from .groups import AbelianGroup
+from .groups import AbelianGroup, GroupSet
 from .lr import _lr_support, lr_support
 from .partitions import (Partition, make_partition, partitions_of, size,
                          union_merge)

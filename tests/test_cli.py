@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from abext import cli, extensions
+from abext import cli, extensions, lr
 from abext.cli import run
 from abext.extensions import extension_set
 from abext.families import BUILTIN_FAMILIES, enumerate_family, get_family
@@ -256,6 +256,14 @@ def test_lr_filling_size_checked_before_allocation(capsys, argv):
     err = capsys.readouterr().err
     assert err == ("abext: resource limit: fillings of 100000000 cells "
                    "exceed the LR depth limit 900\n")
+
+
+def test_lr_step_limit_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(lr, "MAX_FILL_STEPS", 3)
+    assert run(["lr-expand", "[2,1]", "[2,1]"]) == 3
+    assert capsys.readouterr() == (
+        "", "abext: resource limit: the filling search exceeds the LR step "
+        "limit 3\n")
 
 
 def test_lr_huge_entries_with_small_filling(capsys):

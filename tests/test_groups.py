@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abext import groups
+import abext
+from abext import extensions, groups
 from abext.errors import ResourceLimitError
 from abext.groups import (MILLER_RABIN_BOUND, TRIAL_DIVISION_LIMIT,
                           AbelianGroup, GroupSyntaxError, TRIVIAL, factorize,
@@ -234,3 +235,7 @@ def test_sort_key_orders_by_order_then_name():
     groups = [parse_group(s) for s in ["Z/8", "Z/2^3", "Z/4 x Z/2", "Z/6", "1"]]
     ordering = [str(g) for g in sorted(groups)]
     assert ordering == ["1", "Z/6", "Z/2^3", "Z/4 x Z/2", "Z/8"]
+
+
+def test_group_set_has_one_home():
+    assert abext.GroupSet is groups.GroupSet is extensions.GroupSet

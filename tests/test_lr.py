@@ -1,9 +1,11 @@
+import itertools
 import time
 from functools import partial
 from math import comb
 
 import pytest
 
+from abext import lr
 from abext.errors import ResourceLimitError
 from abext.lr import lr_coefficient, lr_expand, lr_positive, lr_support
 from abext.partitions import (componentwise_sum, contains, size, sort_key,
@@ -257,3 +259,46 @@ def test_reference_products_against_independent_oracles():
                            and all(m >= b for m, b in zip(mu, low))
                            for low, tail in reference), (label, mu)
     assert runs == 75
+
+
+def _fewest_steps(call, monkeypatch):
+    """(smallest MAX_FILL_STEPS under which call() answers, its answer)."""
+    for budget in itertools.count(1):
+        monkeypatch.setattr(lr, "MAX_FILL_STEPS", budget)
+        try:
+            return budget, call()
+        except ResourceLimitError:
+            pass
+
+
+def test_each_public_search_has_a_step_budget(monkeypatch):
+    # a step is one cell tried or one complete filling: (4, 2) / (2, 1)
+    # with content (2, 1) has one filling of three cells, found without
+    # backtracking
+    calls = [partial(lr_coefficient, (2, 1), (2, 1), (4, 2)),
+             partial(lr_positive, (2, 1), (2, 1), (4, 2)),
+             partial(lr_expand, (2, 1), (2, 1))]
+    for call in calls:
+        monkeypatch.setattr(lr, "MAX_FILL_STEPS", 3)
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+        assert str(exc.value) == ("the filling search exceeds the LR step "
+                                  "limit 3")
+    assert _fewest_steps(calls[0], monkeypatch) == (4, 1)
+    assert _fewest_steps(calls[1], monkeypatch) == (4, True)
+
+
+def test_all_shapes_of_an_expansion_share_one_budget(monkeypatch):
+    lam = nu = (2, 1)
+    need = {mu: _fewest_steps(partial(lr_coefficient, lam, nu, mu),
+                              monkeypatch)[0]
+            for mu in lr_support(lam, nu)}
+    monkeypatch.setattr(lr, "MAX_FILL_STEPS", max(need.values()))
+    for mu in need:
+        lr_coefficient(lam, nu, mu)
+    with pytest.raises(ResourceLimitError):
+        lr_expand(lam, nu)
+    budget, expansion = _fewest_steps(partial(lr_expand, lam, nu),
+                                      monkeypatch)
+    assert budget == sum(need.values())
+    assert expansion[(3, 2, 1)] == 2

@@ -55,6 +55,15 @@ def test_thm_main_at_minimal_window():
     pair = (parse_group("Z/4^2 x Z/2"), parse_group("Z/4^2 x Z/2"))
     assert report.witness_sources[parse_group("Z/4^5")] == (pair,)
     assert report.exit_code == 0
+    # read-only fields, and the repr of the dataclass it replaced, which hid
+    # witness_sources
+    assert repr(report) == (
+        "VerificationReport(claim_id='thm-main', bound=32, "
+        "checked_pairs=4624, witnesses=GroupSet({Z/4^5}), verdict='pass', "
+        "vacuous=False, details=())")
+    for name in (*report._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
 
 
 def test_prop_product_types_windows():
