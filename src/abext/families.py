@@ -12,17 +12,20 @@ must absorb one part at p = 2 and may absorb one part at any other prime,
 Z/3k analogously at p = 3, and Z/k may absorb one part anywhere.  Every
 constraint binds at a single prime with threshold one, so a group matches
 exactly when, at each prime, the pattern's fixed exponents are among its
-parts and the rest of its parts satisfies mandatory <= rest <= params;
-a FamilyPattern compiles these demands, and admits checks them at one p.
+parts and the rest of its parts satisfies mandatory <= rest <= params.
 
 A family's rows are its patterns, then its exceptional groups lifted to
-fixed-slot patterns.  row_mask(family, p, parts) is the bitmask of rows
+fixed-slot patterns.  Family.demands compiles them once per prime class
+into one tuple of (bit, fixed exponents with counts, low, high), which
+_mask alone evaluates.  row_mask(family, p, parts) is the bitmask of rows
 that admit the p-type parts; it is the same at every prime outside the
 rows' primes, which it memoizes as one class, 0.  A group is a member
 exactly when the AND of its masks over its primes and the rows' primes is
-nonzero.  member_types walks the group types of the window that pass
-this test; enumerate_family builds a group from each, while the sweep
-and the enumerate command read the types themselves.
+nonzero.  member_types walks only the group types that pass this test:
+per order, it picks one admitted partition per prime from a sieve's
+factorization and drops a branch as soon as its AND reaches 0.
+enumerate_family builds a group from each type, while the sweep and the
+enumerate command read the types themselves.
 
 The built-in families A1, A2, A3p, B3p, PA4p and PB4p encode the
 classification tables for abelian group symmetries in low dimension, one
@@ -35,7 +38,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import groupby, product
+from itertools import groupby
+from math import isqrt
 
 from .errors import ResourceLimitError
 from .groups import AbelianGroup, GroupSet, factorize
@@ -92,8 +96,8 @@ def fixed(modulus: int) -> Slot:
 class FamilyPattern(namedtuple("FamilyPattern", "slots")):
     """A product of slots; one row of a family table.
 
-    Equality, hash and repr are by slots.  The per-prime demands that
-    admits reads are compiled from the slots on first use:
+    Equality, hash and repr are by slots.  What _compile reads of the
+    slots is worked out on first use:
     fixed      {p: Counter of the exponents the fixed slots take at p}
     mandatory  {p: number of parameterized slots whose scale p divides}
     params     number of parameterized slots
@@ -121,17 +125,6 @@ class FamilyPattern(namedtuple("FamilyPattern", "slots")):
     def params(self) -> int:
         return sum(slot.scale is not None for slot in self.slots)
 
-    def admits(self, p: int, parts: Partition) -> bool:
-        """True when the p-type parts meets this pattern's demands at p."""
-        rest = len(parts)
-        taken = self.fixed.get(p)
-        if taken:
-            for e, c in taken.items():
-                if parts.count(e) < c:
-                    return False
-            rest -= taken.total()
-        return self.mandatory.get(p, 0) <= rest <= self.params
-
 
 class Family(namedtuple("Family", "name patterns exceptional",
                         defaults=(GroupSet(),))):
@@ -157,10 +150,42 @@ class Family(namedtuple("Family", "name patterns exceptional",
         return frozenset(p for row in self.rows
                          for p in (*row.fixed, *row.mandatory))
 
+    @cached_property
+    def demands(self) -> dict[int, tuple]:
+        """The rows compiled at each prime class: _compile(rows, p) at each
+        p in primes, and at 0, the class of every other prime."""
+        return {p: _compile(self.rows, p) for p in (0, *self.primes)}
+
+
+def _compile(rows: tuple[FamilyPattern, ...], p: int) -> tuple:
+    """One demand (bit, fixed, low, high) per row at p: bit = 1 << index,
+    fixed the (exponent, count) pairs of its t fixed parts at p, and low =
+    mandatory + t <= len(parts) <= params + t = high."""
+    demands = []
+    for i, row in enumerate(rows):
+        taken = row.fixed.get(p, Counter())
+        t = taken.total()
+        demands.append((1 << i, tuple(taken.items()),
+                        row.mandatory[p] + t, row.params + t))
+    return tuple(demands)
+
+
+def _mask(demands: tuple, parts: Partition) -> int:
+    """OR of the bits of the demands that the p-type parts meets."""
+    n, mask = len(parts), 0
+    for bit, fixed, low, high in demands:
+        if low <= n <= high:
+            for e, c in fixed:
+                if parts.count(e) < c:
+                    break
+            else:
+                mask |= bit
+    return mask
+
 
 def matches(group: AbelianGroup, pat: FamilyPattern) -> bool:
     """True when some instantiation of the pattern is isomorphic to group."""
-    return all(pat.admits(p, group.p_part(p))
+    return all(_mask(_compile((pat,), p), group.p_part(p))
                for p in {*group.primes, *pat.fixed, *pat.mandatory})
 
 
@@ -168,15 +193,21 @@ def row_mask(family: Family, p: int, parts: Partition) -> int:
     """Bitmask of family's rows (bit i for rows[i]) admitting parts at p.
 
     Every p outside family.primes is one class, keyed as 0 in the memo:
-    no row fixes or demands a part there, so admits reads only len(parts).
+    no row fixes or demands a part there, so a row reads only len(parts).
     """
     return _row_mask(family, p if p in family.primes else 0, parts)
 
 
 @lru_cache(maxsize=None)
 def _row_mask(family: Family, p: int, parts: Partition) -> int:
-    return sum(1 << i for i, row in enumerate(family.rows)
-               if row.admits(p, parts))
+    return _mask(family.demands[p], parts)
+
+
+def _admitted(family: Family, p: int, total: int) -> list:
+    """(parts, row_mask(family, p, parts)) for each partition parts of
+    total, in partitions_of order, that some row admits at p."""
+    return [(parts, m) for parts in partitions_of(total)
+            if (m := row_mask(family, p, parts))]
 
 
 def family_contains(group: AbelianGroup, family: Family) -> bool:
@@ -227,21 +258,54 @@ def enumerate_family(family: Family, order_bound: int) -> GroupSet:
 
 def member_types(family: Family, bound: int) -> Iterator[dict]:
     """The group types of order 1 .. bound that family admits, as {prime:
-    partition}, walked lazily; the bound is checked at the call."""
+    partition}, walked lazily; the bound is checked at the call.
+
+    Orders ascend; within one, types follow itertools.product of
+    partitions_of over its primes, ascending.  At each p^e of the order
+    the walk picks one of the admitted partitions of e, listed once per
+    prime class and exponent, and carries the AND of their row masks from
+    the masks of () at the family's primes that do not divide the order,
+    dropping a branch whose AND reaches 0.
+    """
     if bound < 1:
         raise ValueError("order bound must be >= 1")
     if bound > MAX_ENUMERATION_BOUND:
         raise ResourceLimitError(f"family enumeration exceeded the limit of "
                                  f"{MAX_ENUMERATION} group types")
-    return (types for types in _group_types(bound) if _admits(family, types))
+    return _walk(family, bound)
 
 
-def _group_types(bound: int) -> Iterator[dict[int, Partition]]:
-    """Every group type of order 1 .. bound, as {prime: partition}."""
+def _walk(family: Family, bound: int) -> Iterator[dict[int, Partition]]:
+    # spf[n], n's smallest prime factor: the smallest d >= 2 that divides
+    # n with d * d <= n marks n last, or n itself when n is prime
+    spf = list(range(bound + 1))
+    for d in range(isqrt(bound), 1, -1):
+        spf[d * d::d] = [d] * len(range(d * d, bound + 1, d))
+    primes = family.primes
+    absent = {p: row_mask(family, p, ()) for p in primes}
+    full = (1 << len(family.rows)) - 1
+    choices: dict = {}
     for n in range(1, bound + 1):
-        powers = factorize(n)
-        for combo in product(*map(partitions_of, powers.values())):
-            yield dict(zip(powers, combo))
+        mask = full
+        for p, m in absent.items():
+            if n % p:
+                mask &= m
+        # (picked (prime, partition) pairs, AND of their masks and mask)
+        branches = [((), mask)] if mask else []
+        k = n
+        while k > 1 and branches:
+            p, e = spf[k], 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            key = (p if p in primes else 0, e)
+            if key not in choices:
+                choices[key] = _admitted(family, *key)
+            branches = [(picked + ((p, parts),), both)
+                        for picked, acc in branches
+                        for parts, m in choices[key] if (both := acc & m)]
+        for picked, _ in branches:
+            yield dict(picked)
 
 
 def instantiate_pattern(pat: FamilyPattern, values: Iterable[int]) -> AbelianGroup:

@@ -63,9 +63,10 @@ Ext^1(B, A) -> Ext^1(B, A/p^cA) is onto because Ext^2 vanishes over Z.
 So the caps over (a, b) are those over (cap_c a, b).  Quotient side:
 c^mu_ab = c^mu_ba, the duality G -> Hom(G, Q/Z) that
 subgroup_quotient_types spells out, so the same step caps b.  Hence
-extension tables are exact at c = E + 1: FamilyPattern.admits reads at p
-only len(parts) and parts.count(e) for fixed e <= E, and cap_(E+1) keeps
-both.  Product tables are exact too, as union_merge commutes with caps.
+extension tables are exact at c = E + 1: a row's compiled demand at p
+(families._compile) reads only len(parts) and parts.count(e) for fixed
+e <= E, and cap_(E+1) keeps both.  Product tables are exact too, as
+union_merge commutes with caps.
 
 The closure cap C = max(2E + 1, 2) is tested, to 24 boxes (all a window
 of 4096 pairs), but not proved: _reach must read only cap_C mu, and that
@@ -88,11 +89,11 @@ from operator import and_, ge
 from .errors import ResourceLimitError
 from .extensions import extension_set
 from .families import (A1, A2, A3P, B3P, PA4P, PB4P, A1xA3P, A2xA2, Family,
-                       _admits, family_product, member_types, row_mask)
+                       _admits, _admitted, family_product, member_types,
+                       row_mask)
 from .groups import AbelianGroup, GroupSet
 from .lr import _lr_support, lr_support
-from .partitions import (Partition, make_partition, partitions_of, size,
-                         union_merge)
+from .partitions import Partition, make_partition, size, union_merge
 
 DEFAULT_BOUND = 64
 # claim time about doubles per doubling of the bound: 1.0 s at most at 4096
@@ -232,8 +233,9 @@ def _zero_pairs(table: _Options, left: list, right: list):
 
     A join over the right members instead of a loop over pairs.  cols[p]
     maps each p-type v to the bitset of right indices j with that p-type,
-    () for the members that lack p; p-types enter capped at table.cap, so
-    equal capped types share a column and a lane.  Every choice of masks
+    () for the members that lack p; p-types enter capped at table.cap,
+    each (p, type) once per join, so equal capped types share a column
+    and a lane.  Every choice of masks
     for the pair (ht, right[j]) lies in some vector of lanes (_lanes), one
     per prime.  ANDing a vector leaves bit r * m + j exactly when row r
     (row pair for closure) survives that choice; folding the rows by
@@ -250,6 +252,7 @@ def _zero_pairs(table: _Options, left: list, right: list):
     m, n = len(right), table.full.bit_length()
     every = (1 << m) - 1
 
+    @lru_cache(maxsize=None)
     def capped(p, t):
         c = table.cap.get(p)
         return tuple(min(x, c) for x in t) if c else t
@@ -289,16 +292,22 @@ def _lanes(table: _Options, p: int, a: Partition, col: dict, m: int):
     """One lane per choice index c below the longest entry (a, v) over the
     p-types v of col: bit r * m + j is set when row r is in the c-th mask
     of (a, v_j), or in its last mask when it has fewer.  Entries are read
-    at p for a target prime and at class 0 for any other."""
+    at p for a target prime and at class 0 for any other.  Each lane ORs
+    together the column bits of the p-types whose c-th masks are equal,
+    then shifts that union into place once per set bit of the mask."""
     q = p if p in table.target.primes else 0
     entries = [(bits, table[q, a, v]) for v, bits in col.items()]
     lanes = [0] * max((len(e) for _, e in entries), default=1)
     for c in range(len(lanes)):
+        union: dict = {}
         for bits, e in entries:
             mask = e[min(c, len(e) - 1)]
-            for r in range(mask.bit_length()):
-                if mask >> r & 1:
-                    lanes[c] |= bits << r * m
+            union[mask] = union.get(mask, 0) | bits
+        for mask, bits in union.items():
+            while mask:
+                low = mask & -mask
+                lanes[c] |= bits << (low.bit_length() - 1) * m
+                mask ^= low
     return lanes
 
 
@@ -311,8 +320,8 @@ def _outside(table: _Options, h: AbelianGroup,
     primes = {*h.primes, *k.primes} | target.primes
     return [g for g in ((h.direct_product(k),) if table.step == "product"
                         else extension_set(h, k))
-            if not reduce(and_, (table.mask_of(target, p, g.p_part(p))
-                                 for p in primes), table.full)]
+            if not reduce(and_, (table.mask(p, g.p_part(p)) for p in primes),
+                          table.full)]
 
 
 class _Options(dict):
@@ -321,10 +330,11 @@ class _Options(dict):
     lr_support otherwise), for one step into one target, filled on first
     lookup.  The rule holds at every prime and for every step; at a p
     outside target.primes it leaves one mask (_zero_pairs argues why),
-    the same at every such p, which the join keys as class 0.  mask_of
-    gives each result's mask: row_mask, or _reach for closure.  (p, a, b)
-    and (p, b, a) share one entry, filled once.  cap[p], at each p in
-    target.primes, is the part size to which the join lowers p-types
+    the same at every such p, which the join keys as class 0.  mask(p, mu)
+    gives each result's mask, row_mask or for closure _reach, read once
+    and kept in a memo of the table's own, whose keys hold no Family.
+    (p, a, b) and (p, b, a) share one entry, filled once.  cap[p], at each
+    p in target.primes, is the part size to which the join lowers p-types
     before it looks them up: E + 1, or max(2E + 1, 2) for closure, with E
     the largest exponent target's rows fix at p (the module docstring's
     capping lemma proves E + 1; the closure cap is tested, not proved).
@@ -336,13 +346,14 @@ class _Options(dict):
     def __init__(self, step: str, target: Family):
         super().__init__()
         self.step, self.target = step, target
-        self.mask_of = _reach if step == "closure" else row_mask
         n = len(target.rows)
         self.full = (1 << (n * n if step == "closure" else n)) - 1
         top = {p: max((e for row in target.rows for e in row.fixed.get(p, ())),
                       default=0) for p in target.primes}
         self.cap = {p: max(2 * e + 1, 2) if step == "closure" else e + 1
                     for p, e in top.items()}
+        self.mask = lru_cache(maxsize=None)(
+            partial(_reach if step == "closure" else row_mask, target))
 
     def __missing__(self, key: tuple[int, Partition, Partition]):
         p, a, b = key
@@ -353,7 +364,7 @@ class _Options(dict):
             return entry
         mus = ((union_merge(a, b),) if self.step == "product"
                else _lr_support(a, b))
-        masks = {self.mask_of(self.target, p, mu) for mu in mus}
+        masks = {self.mask(p, mu) for mu in mus}
         # a mask that contains another never lets a choice reach 0
         self[key] = entry = tuple(sorted(
             m for m in masks if not any(o != m and o & m == o for o in masks)))
@@ -382,7 +393,7 @@ def _reach_by_size(family: Family, p: int, total: int) -> dict:
     n = len(family.rows)
     # right * spread is right << i * n summed over the rows i admitting a
     typed = [[(a, m, sum(1 << i * n for i in range(n) if m >> i & 1))
-              for a in partitions_of(k) if (m := row_mask(family, p, a))]
+              for a, m in _admitted(family, p, k)]
              for k in range(total + 1)]
     reach: dict = {}
     for k in range(total // 2 + 1):

@@ -3,8 +3,10 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache, reduce
 from itertools import accumulate
-from math import isqrt, prod
+from math import isqrt
+from operator import and_
 
 import pytest
 
@@ -15,11 +17,11 @@ from abext.families import (A1, A1xA3P, A2, A2xA2, A3P, B1xB3P, B3P, PA4P,
                             FamilyPattern, Slot, TRIPLE,
                             enumerate_family, family_contains, family_product,
                             fixed, get_family, instantiate_pattern, matches,
-                            render_pattern, row_mask)
+                            member_types, render_pattern, row_mask)
 from abext.groups import TRIVIAL, parse_group
 from abext.verify import CLAIMS
 
-from oracles import (all_abelian_groups_upto, naive_matches, naive_member,
+from oracles import (all_abelian_groups_upto, naive_matches, naive_members,
                      partitions_upto)
 
 
@@ -256,16 +258,15 @@ def _type_counts(bound):
 def test_enumeration_bound_is_the_last_within_the_type_limit():
     last = families.MAX_ENUMERATION_BOUND
     windows = list(accumulate(_type_counts(last + 1)))
-    # _group_types(x) walks the orders 1 .. x in turn, so a running count
-    # over one walk to 2000 gives its length at every x
-    per_order = Counter(prod(p ** sum(parts) for p, parts in types.items())
-                        for types in families._group_types(2000))
+    # all_abelian_groups_upto(x) walks the orders 1 .. x in turn, so a
+    # running count over one walk to 2000 gives its length at every x
+    per_order = Counter(g.order() for g in all_abelian_groups_upto(2000))
     walked = 0
     for x in range(1, 2001):
         walked += per_order[x]
         assert windows[x] == walked, x
     for x in (1, 17, 256, 2000):
-        assert windows[x] == sum(1 for _ in families._group_types(x)), x
+        assert windows[x] == sum(1 for _ in all_abelian_groups_upto(x)), x
     assert windows[last] == 999_999 <= families.MAX_ENUMERATION
     assert windows[last + 1] == 1_000_004 > families.MAX_ENUMERATION
 
@@ -273,8 +274,8 @@ def test_enumeration_bound_is_the_last_within_the_type_limit():
 def test_enumeration_bound_is_checked_before_the_walk(monkeypatch):
     from abext.extensions import ResourceLimitError
     walks = []
-    monkeypatch.setattr(families, "_group_types",
-                        lambda bound: walks.append(bound) or iter(()))
+    monkeypatch.setattr(families, "_walk",
+                        lambda family, bound: walks.append(bound) or iter(()))
     last = families.MAX_ENUMERATION_BOUND
     assert enumerate_family(A1, last) == GroupSet()
     with pytest.raises(ResourceLimitError) as info:
@@ -348,17 +349,36 @@ def test_row_mask_at_a_prime_outside_the_rows(p):
                 if len(parts) <= row.params), (family.name, parts)
 
 
+def test_row_mask_bits_agree_with_naive_search_row_by_row():
+    # bit i of the AND of row_mask over a group's primes and the family's
+    # primes is rows[i]'s own verdict: every row of every built-in family,
+    # and exceptional groups lifted to rows, against every group of order
+    # up to 128
+    lifted = Family("L", A1.patterns, GroupSet(map(parse_group, (
+        "Z/4^2 x Z/2", "Z/3^3", "Z/5^2", "Z/6 x Z/2"))))
+    assert len(lifted.rows) == 6
+    naive = lru_cache(maxsize=None)(naive_matches)
+    for family in (*BUILTIN_FAMILIES.values(), lifted):
+        full = (1 << len(family.rows)) - 1
+        for g in all_abelian_groups_upto(128):
+            types = g.prime_types()
+            mask = reduce(and_, (row_mask(family, p, types.get(p, ()))
+                                 for p in types.keys() | family.primes), full)
+            for i, row in enumerate(family.rows):
+                assert (mask >> i & 1) == naive(g, row), (
+                    family.name, str(g), i)
+
+
 def test_enumeration_matches_membership_on_universe():
-    # bounded enumeration and the brute-force matcher must agree on every
-    # abelian group in the window
+    # the walk gives the members that the brute-force matcher finds, in the
+    # same order; both ascend by order, so this covers every smaller bound
     sporadic = Family("S", (), GroupSet([parse_group("Z/4^2 x Z/2")]))
     empty = Family("E", ())
     for family in (A1, A2, A3P, B3P, PA4P, PB4P, A2xA2, A1xA3P, B1xB3P,
                    sporadic, empty):
-        members = enumerate_family(family, 48)
-        for g in all_abelian_groups_upto(48):
-            assert (g in members) == naive_member(g, family), \
-                (family.name, str(g))
+        assert [list(t.items()) for t in member_types(family, 512)] == [
+            list(g.prime_types().items())
+            for g in naive_members(family, 512)], family.name
 
 
 def test_instantiate_pattern_checks_its_values():
